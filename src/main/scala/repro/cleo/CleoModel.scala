@@ -107,10 +107,11 @@ final case class CleoModelSet(
 /** Cost predictions for physical plan nodes during optimization — the
   * `Optimize Inputs` replacement of Figure 8a, step 10.
   */
-final class CleoPredictor(val set: CleoModelSet) extends Serializable {
+class CleoPredictor(val set: CleoModelSet) extends Serializable {
 
   /** Pseudo log-record for a candidate operator (costs are being *predicted*,
-    * so runtime fields are unused zeros).
+    * so runtime fields are unused zeros). It is the whole input of both the
+    * cost prediction and θ.
     */
   def asSample(n: Phys): OpSample = OpSample(
     cluster = 0, day = 0, jobId = 0, templateId = 0, adhoc = false,
@@ -119,20 +120,44 @@ final class CleoPredictor(val set: CleoModelSet) extends Serializable {
     sigInput = Signatures.inputSig(n),
     stats = n.stats, trueI = 0, trueC = 0, actual = 0, defaultCost = 0, tunedCost = 0)
 
-  def exclusiveCost(n: Phys): Double = set.predict(asSample(n))
+  def exclusiveCost(n: Phys): Double = costOf(asSample(n))
 
   def jobCost(root: Phys): Double = root.allNodes.map(exclusiveCost).sum
 
   /** Most specialized individual model covering this operator, if any. */
-  def individualModel(n: Phys): Option[CostModel] = {
-    val s = asSample(n)
-    Family.all.iterator.flatMap(f => set.familyMap(f).get(f.key(s))).toSeq.headOption
-  }
+  def individualModel(n: Phys): Option[CostModel] = modelFor(asSample(n))
 
   /** (θP, θC) for partition exploration from the most specialized covering
     * individual model (falls back to the operator model, which always exists
     * once trained).
     */
-  def theta(n: Phys): (Double, Double) =
-    individualModel(n).map(_.theta(n.stats)).getOrElse((0.0, 0.0))
+  def theta(n: Phys): (Double, Double) = thetaOf(asSample(n))
+
+  /** A predictor over the same models that computes each distinct operator
+    * sample's cost and θ once. Its memo lives as long as the returned object
+    * and is not thread-safe: open one per optimize call and drop it after.
+    */
+  def memoized(): CleoPredictor = new CleoPredictor.Memoized(set)
+
+  protected def costOf(s: OpSample): Double = set.predict(s)
+
+  protected def thetaOf(s: OpSample): (Double, Double) =
+    modelFor(s).map(_.theta(s.stats)).getOrElse((0.0, 0.0))
+
+  private def modelFor(s: OpSample): Option[CostModel] =
+    Family.all.iterator.flatMap(f => set.familyMap(f).get(f.key(s))).nextOption()
+}
+
+object CleoPredictor {
+
+  /** Keyed by the full [[OpSample]], not by a signature alone: two nodes of
+    * one template can share a subgraph signature yet differ in cards or
+    * partition count, so a hit always returns what a fresh computation would.
+    */
+  private final class Memoized(set: CleoModelSet) extends CleoPredictor(set) {
+    private val costs = scala.collection.mutable.HashMap.empty[OpSample, Double]
+    private val thetas = scala.collection.mutable.HashMap.empty[OpSample, (Double, Double)]
+    override protected def costOf(s: OpSample): Double = costs.getOrElseUpdate(s, super.costOf(s))
+    override protected def thetaOf(s: OpSample): (Double, Double) = thetas.getOrElseUpdate(s, super.thetaOf(s))
+  }
 }

@@ -18,30 +18,42 @@ object CascadesLite {
 
   /** How a candidate physical plan is costed. */
   sealed trait Coster {
-    def cost(root: Phys): Double
-    /** Applied to each realized candidate before costing (partition choice). */
-    def tune(root: Phys): Phys
+    /** The plan kept for a realized candidate (after any partition choice)
+      * and its cost.
+      */
+    def plan(candidate: Phys): (Phys, Double)
+
+    /** The coster one optimize call uses; whatever it memoizes is dropped
+      * with the call.
+      */
+    def forCall(): Coster = this
   }
 
   /** The engine's default cost model with heuristic partition counts. */
   case object DefaultCoster extends Coster {
-    override def cost(root: Phys): Double = DefaultCostModel.jobCost(root)
-    override def tune(root: Phys): Phys = root
+    override def plan(candidate: Phys): (Phys, Double) = (candidate, DefaultCostModel.jobCost(candidate))
   }
 
   /** CLEO: learned combined model for costs, analytical partition
     * optimization from the individual models' θ (Section 5.3).
     */
   final case class CleoCoster(predictor: CleoPredictor, optimizePartitions: Boolean = true) extends Coster {
-    override def cost(root: Phys): Double = predictor.jobCost(root)
-    override def tune(root: Phys): Phys =
-      if (!optimizePartitions) root
+    override def plan(candidate: Phys): (Phys, Double) = {
+      val untuned = predictor.jobCost(candidate)
+      if (!optimizePartitions) (candidate, untuned)
       else {
         // Keep the tuned plan only if the learned model agrees it is cheaper —
         // partition optimization must never regress the chosen plan's own cost.
-        val tuned = PartitionOptimizer.optimize(root, predictor)
-        if (predictor.jobCost(tuned) <= predictor.jobCost(root)) tuned else root
+        val tuned = PartitionOptimizer.optimize(candidate, predictor)
+        val tunedCost = predictor.jobCost(tuned)
+        if (tunedCost <= untuned) (tuned, tunedCost) else (candidate, untuned)
       }
+    }
+
+    /** Candidates share most of their subtrees, so one call's operators
+      * repeat across them: cost and θ are memoized for the call.
+      */
+    override def forCall(): Coster = copy(predictor = predictor.memoized())
   }
 
   /** All logical nodes with an implementation choice (joins and group-bys). */
@@ -70,10 +82,8 @@ object CascadesLite {
       coster: Coster,
       maxChoicePoints: Int = 7,
   ): Planned = {
-    val points = choicePoints(template.root).take(maxChoicePoints)
-    val fixed = choicePoints(template.root).drop(maxChoicePoints).map {
-      case (id, alts) => id -> template.physChoices.getOrElse(id, alts.head)
-    }.toMap
+    val (points, beyond) = choicePoints(template.root).splitAt(maxChoicePoints)
+    val fixed = beyond.map { case (id, alts) => id -> template.physChoices.getOrElse(id, alts.head) }.toMap
 
     def combos(ps: List[(Int, Seq[PhysOp])]): Seq[Map[Int, PhysOp]] = ps match {
       case Nil => Seq(Map.empty)
@@ -81,34 +91,25 @@ object CascadesLite {
         for (m <- combos(rest); a <- alts) yield m.updated(id, a)
     }
 
+    val callCoster = coster.forCall()
     val candidates = combos(points.toList).map { m =>
       val choices = fixed ++ m
       val t = template.copy(physChoices = choices)
       val realized = new Realizer(t, cards, param, DefaultPartitioner).realize()
-      val tuned = coster.tune(realized)
-      Planned(tuned, choices, coster.cost(tuned))
+      val (plan, cost) = callCoster.plan(realized)
+      Planned(plan, choices, cost)
     }
     candidates.minBy(_.cost)
   }
 
-  /** Convenience: optimize a recorded job run's template instance. */
-  def optimizeRun(run: JobRun, template: JobTemplate, cfg: ClusterConfig, coster: Coster): Planned = {
-    // Recompute the instance's cards exactly as the generator did.
-    val day = run.day
-    val inst = run.jobId // not the original loop index; reuse instanceSeed directly
-    val _ = inst
-    val (param, cards) = reinstantiate(run, template, cfg)
-    optimize(template, cards, param, coster)
-  }
-
-  /** Recovers (param, cards) for a run by re-walking the template with the
-    * run's recorded parameter (cards depend only on template/day/instSeed).
+  /** Convenience: optimize a recorded job run's template instance. The
+    * instance's cards are read off the executed plan, which holds exactly the
+    * cards the generator drew (they depend only on template, day and seed).
     */
-  private def reinstantiate(run: JobRun, template: JobTemplate, cfg: ClusterConfig): (Double, Map[Int, NodeCard]) = {
-    // Cards can be read off the executed plan, which is simpler and exact:
-    val byId = run.root.allNodes.map(n => n.logicalId ->
+  def optimizeRun(run: JobRun, template: JobTemplate, cfg: ClusterConfig, coster: Coster): Planned = {
+    val cards = run.root.allNodes.map(n => n.logicalId ->
       NodeCard(n.trueOut, n.estOut, n.trueBase, n.estBase, n.rowLen, n.inputs)).toMap
-    (run.param, byId)
+    optimize(template, cards, run.param, coster)
   }
 
   /** Executes both planners on one job instance and reports the outcome. */

@@ -24,7 +24,8 @@ final case class OpSample(
     tunedCost: Double,
 ) {
   def features: Array[Double] = Features.vector(stats)
-  def sigOperator: Long = Determ.hashStr("op:" + op)
+  /** Kept once per sample: every prediction keys the operator family by it. */
+  lazy val sigOperator: Long = Determ.hashStr("op:" + op)
 }
 
 /** Extracts per-operator log records from executed jobs. */

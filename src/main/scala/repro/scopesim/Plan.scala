@@ -99,7 +99,11 @@ final case class Phys(
   /** Physical depth of this operator (leaves have depth 1) — the D feature. */
   val depth: Int = if (children.isEmpty) 1 else 1 + children.map(_.depth).max
 
-  def inHash: Long = Determ.hashStr(inputs.sorted.mkString(","))
+  /** Hash of the normalized input template set (IN), computed once per node. */
+  lazy val inHash: Long = Determ.hashStr(inputs.sorted.mkString(","))
+
+  /** This node's signatures, built once from its children's (see [[Signatures]]). */
+  @transient private[scopesim] lazy val carried: Signatures.Carried = new Signatures.Carried(this)
 
   /** Statistics handed to the learned models (estimated, like the default model gets). */
   def stats: OpStats = OpStats(

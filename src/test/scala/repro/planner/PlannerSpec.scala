@@ -16,6 +16,36 @@ class PlannerSpec extends AnyFunSuite {
   }
   private lazy val templates = WorkloadGen.genTemplates(cfg).map(t => t.id -> t).toMap
 
+  /** The bounded §6.6.1 job set: the first day-3 instance of each recurring
+    * template, in job order, cut to 30 jobs.
+    */
+  private lazy val planJobs = runs.filter(r => r.day == 3 && !r.adhoc)
+    .groupBy(_.templateId).values.map(_.minBy(_.jobId)).toSeq.sortBy(_.jobId).take(30)
+
+  private def cardsOf(r: JobRun): Map[Int, NodeCard] = r.root.allNodes.map(n => n.logicalId ->
+    NodeCard(n.trueOut, n.estOut, n.trueBase, n.estBase, n.rowLen, n.inputs)).toMap
+
+  /** CLEO optimization with nothing shared between candidates: each one is
+    * realized, partition-tuned and costed from scratch by a plain predictor.
+    */
+  private def referenceOptimize(r: JobRun, pred: CleoPredictor): CascadesLite.Planned = {
+    val t = templates(r.templateId)
+    val cards = cardsOf(r)
+    val points = CascadesLite.choicePoints(t.root)
+    val fixed = points.drop(7).map { case (id, alts) => id -> t.physChoices.getOrElse(id, alts.head) }.toMap
+    // Same candidate order as the optimizer, so ties resolve alike.
+    val combos = points.take(7).foldRight(Seq(Map.empty[Int, PhysOp])) { case ((id, alts), acc) =>
+      for (m <- acc; a <- alts) yield m.updated(id, a)
+    }
+    combos.map { m =>
+      val choices = fixed ++ m
+      val realized = new Realizer(t.copy(physChoices = choices), cards, r.param, DefaultPartitioner).realize()
+      val opt = PartitionOptimizer.optimize(realized, pred)
+      val kept = if (pred.jobCost(opt) <= pred.jobCost(realized)) opt else realized
+      CascadesLite.Planned(kept, choices, pred.jobCost(kept))
+    }.minBy(_.cost)
+  }
+
   test("stage groups partition the plan's operators exactly") {
     runs.take(50).foreach { r =>
       val groups = PartitionOptimizer.stageGroups(r.root)
@@ -65,8 +95,7 @@ class PlannerSpec extends AnyFunSuite {
     val r = runs.find(r => r.day == 3 && !r.adhoc &&
       CascadesLite.choicePoints(templates(r.templateId).root).nonEmpty).get
     val t = templates(r.templateId)
-    val cards = r.root.allNodes.map(n => n.logicalId ->
-      NodeCard(n.trueOut, n.estOut, n.trueBase, n.estBase, n.rowLen, n.inputs)).toMap
+    val cards = cardsOf(r)
     val planned = CascadesLite.optimize(t, cards, r.param, CascadesLite.DefaultCoster)
     // flipping any single choice must not be cheaper under the same coster
     CascadesLite.choicePoints(t.root).take(3).foreach { case (id, alts) =>
@@ -104,5 +133,31 @@ class PlannerSpec extends AnyFunSuite {
     val dflt = changed.map(_.defaultLatency).sum
     val cleo = changed.map(_.cleoLatency).sum
     assert(cleo < dflt, s"cumulative latency should improve: cleo=$cleo default=$dflt")
+  }
+
+  test("memoized cleo optimization equals the from-scratch reference exactly") {
+    planJobs.foreach { r =>
+      val got = CascadesLite.optimizeRun(r, templates(r.templateId), cfg, CascadesLite.CleoCoster(predictor))
+      val ref = referenceOptimize(r, predictor)
+      assert(got.choices == ref.choices, s"job ${r.jobId}")
+      assert(got.root.allNodes.map(_.partitions).sorted == ref.root.allNodes.map(_.partitions).sorted, s"job ${r.jobId}")
+      assert(got.cost == ref.cost, s"job ${r.jobId}")
+      assert(got.root == ref.root, s"job ${r.jobId}")
+    }
+  }
+
+  test("no memo outlives an optimize call") {
+    // B is another day-3 instance of A's template: the same signatures over
+    // other cards, so whatever B's call left behind, A's would find.
+    val (a, b) = planJobs.iterator.flatMap(a => runs.find(r =>
+      r.day == 3 && r.templateId == a.templateId && r.jobId != a.jobId).map(a -> _)).next()
+    val coster = CascadesLite.CleoCoster(predictor)
+    def plan(r: JobRun) = CascadesLite.optimizeRun(r, templates(r.templateId), cfg, coster)
+    val first = plan(a)
+    val planB = plan(b)
+    val again = plan(a)
+    assert(again == first)
+    assert(planB == referenceOptimize(b, predictor))
+    assert(again == referenceOptimize(a, predictor))
   }
 }
