@@ -1,24 +1,22 @@
 package repro.cleo
 
 import repro.core.{Features, OpStats}
-import repro.ml.{ElasticNetModel, Regressor}
-import repro.scopesim.{OpSample, Phys, Signatures}
+import repro.ml.{ElasticNetModel, LogSpaceTrainer, Regressor}
+import repro.scopesim.{DefaultPartitioner, OpSample, Phys, Signatures}
 
 /** One trained individual cost model: an elastic net fit on `log1p(actual)`
-  * (≡ MSLE, Section 3.2). Exposes the raw-space coefficient view needed by
-  * the analytical partition exploration (Section 5.3).
+  * (≡ MSLE, Section 3.2). The analytical partition exploration (Section 5.3)
+  * reads its (θP, θC) from probes of the model's predictions ([[theta]]).
   *
   * Predictions in log space are clamped to the training-target range ± a
-  * margin: a linear model extrapolating on huge raw features (B·C ~ 1e16)
-  * can otherwise explode through `expm1` on drifted inputs, which would let
-  * a handful of runaway predictions dominate Pearson correlation.
+  * margin ([[LogSpaceTrainer.fromLog]]): a linear model extrapolating on huge
+  * raw features (B·C ~ 1e16) can otherwise explode through `expm1` on
+  * drifted inputs, which would let a handful of runaway predictions dominate
+  * Pearson correlation.
   */
 final case class CostModel(net: ElasticNetModel, n: Int, zMin: Double, zMax: Double)
     extends Serializable {
-  def predictCost(x: Array[Double]): Double = {
-    val z = math.min(zMax + 1.5, math.max(zMin - 1.5, net.predict(x)))
-    math.max(0.0, math.expm1(z))
-  }
+  def predictCost(x: Array[Double]): Double = LogSpaceTrainer.fromLog(net.predict(x), zMin, zMax)
 
   /** (θP, θC) of `cost ≈ a + θP/P + θC·P` at the given statistics.
     *
@@ -34,7 +32,7 @@ final case class CostModel(net: ElasticNetModel, n: Int, zMin: Double, zMax: Dou
   def theta(s: OpStats): (Double, Double) = {
     val p0 = math.max(1.0, s.p)
     val probes = Seq(p0 / 4, p0 / 2, p0, p0 * 2, p0 * 4)
-      .map(p => math.max(1.0, math.min(3000.0, p))).distinct
+      .map(p => math.max(1.0, math.min(DefaultPartitioner.MaxPartitions.toDouble, p))).distinct
     if (probes.size < 3) return (0.0, 0.0)
     val rows = probes.map { p =>
       (Array(1.0, 1.0 / p, p), predictCost(Features.vector(s.withPartitions(p))))
@@ -44,10 +42,6 @@ final case class CostModel(net: ElasticNetModel, n: Int, zMin: Double, zMax: Dou
       case None    => (0.0, 0.0)
     }
   }
-
-  /** Raw-coefficient θ (the paper's literal §5.3 reading, kept for analysis). */
-  def coefficientTheta(s: OpStats): (Double, Double) =
-    Features.partitionTheta(net.rawCoefficients._1, s)
 }
 
 /** The full CLEO model bundle: four signature-keyed model maps plus the
@@ -118,7 +112,7 @@ class CleoPredictor(val set: CleoModelSet) extends Serializable {
     op = n.op.name,
     sigSub = Signatures.subgraph(n), sigApprox = Signatures.approx(n),
     sigInput = Signatures.inputSig(n),
-    stats = n.stats, trueI = 0, trueC = 0, actual = 0, defaultCost = 0, tunedCost = 0)
+    stats = n.stats, trueI = 0, trueC = 0, actual = 0, defaultCost = 0)
 
   def exclusiveCost(n: Phys): Double = costOf(asSample(n))
 

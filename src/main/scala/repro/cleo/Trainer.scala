@@ -70,39 +70,4 @@ object Trainer {
     val meta = LogSpaceTrainer(trainer).fit(xs, ys)
     set.copy(combined = Some(meta))
   }
-
-  /** Full pipeline: individuals on `trainDays`, meta-model on `metaDay`. */
-  def train(samples: Seq[OpSample], trainDays: Set[Int], metaDay: Int,
-            spark: Option[SparkSession] = None): CleoModelSet = {
-    val base = trainIndividuals(samples.filter(s => trainDays.contains(s.day)), spark)
-    withCombined(base, samples.filter(_.day == metaDay))
-  }
-
-  // ----------------------------------------------------------------- CV
-
-  /** Pooled out-of-fold (prediction, actual) pairs for one family under an
-    * arbitrary learner — the 5-fold CV protocol behind Tables 1, 4 and 6.
-    * Targets are fit in log space when `logSpace` (≡ MSLE).
-    */
-  def cvFamily(
-      samples: Seq[OpSample],
-      family: Family,
-      trainer: Trainer,
-      logSpace: Boolean = true,
-      k: Int = 5,
-      minN: Int = 10,
-      spark: Option[SparkSession] = None,
-  ): Seq[(Double, Double)] = {
-    val t: Trainer = if (logSpace) LogSpaceTrainer(trainer) else trainer
-    val gs = groups(samples, family, minN).toSeq
-    def cvOne(arr: Array[OpSample]): Seq[(Double, Double)] =
-      CrossValidation.outOfFold(arr.map(_.features), arr.map(_.actual), t, k)
-    spark match {
-      case Some(ss) if gs.size > 64 =>
-        val slices = math.min(gs.size, ss.sparkContext.defaultParallelism * 4)
-        ss.sparkContext.parallelize(gs, slices).flatMap(g => cvOne(g._2)).collect().toSeq
-      case _ =>
-        gs.flatMap(g => cvOne(g._2))
-    }
-  }
 }

@@ -41,18 +41,7 @@ object Features {
 
   val dim: Int = names.length
 
-  /** Index of the basic partition-count feature P (linear-in-P term). */
-  val pIndex: Int = 4
-
-  /** Indices of the `x / P` feature group (Table 3, third row). */
-  val invPIndices: Array[Int] = Array(23, 24, 25, 26, 27, 28, 29)
-
   private def lg(x: Double): Double = math.log1p(math.max(0.0, x))
-
-  /** Numerators of the `x / P` features, in [[invPIndices]] order. */
-  def invPNumerators(s: OpStats): Array[Double] = Array(
-    s.i, s.c, s.i * s.l, s.c * s.l, math.sqrt(s.i), math.sqrt(s.c), lg(s.i),
-  )
 
   def vector(s: OpStats): Array[Double] = {
     val li = lg(s.i); val lb = lg(s.b); val lc = lg(s.c)
@@ -68,23 +57,5 @@ object Features {
       math.sqrt(s.i) / p, math.sqrt(s.c) / p, li / p,
       s.cl.toDouble, s.depth.toDouble,
     )
-  }
-
-  /** θP and θC of the analytical partition-cost form (Section 5.3).
-    *
-    * For a linear model over this feature space the only P-dependent terms
-    * are the `x / P` group (coefficient sum → θP) and the basic P feature
-    * (→ θC); everything else is constant during partition exploration. The
-    * learned models predict log-cost, and exp is monotone, so minimizing
-    * θP/P + θC·P in log space minimizes the predicted cost itself.
-    *
-    * @param rawWeights model weights over the RAW (unstandardized) features
-    */
-  def partitionTheta(rawWeights: Array[Double], s: OpStats): (Double, Double) = {
-    val nums = invPNumerators(s)
-    var thetaP = 0.0
-    var k = 0
-    while (k < invPIndices.length) { thetaP += rawWeights(invPIndices(k)) * nums(k); k += 1 }
-    (thetaP, rawWeights(pIndex))
   }
 }

@@ -285,7 +285,7 @@ object Tables {
   /** Partition-exploration accuracy vs efficiency (Figure 17 + 8c numbers). */
   def partitionExploration(spark: Option[SparkSession]): TableResult = {
     val pred = Workloads.predictor(1, spark)
-    val pMax = 3000
+    val pMax = DefaultPartitioner.MaxPartitions
     // Stage instances whose learned cost curve has an interior optimum — a
     // curve that is monotone all the way to a boundary makes every strategy
     // trivially optimal (just probe the endpoint) and says nothing about

@@ -5,8 +5,7 @@ package repro.ml
   * ratio=0.5, fit intercept).
   *
   * Features are standardized internally; [[rawCoefficients]] maps weights
-  * back to the original feature space, which the partition-exploration
-  * analytical model (Section 5.3) needs to read off θP and θC.
+  * back to the original feature space.
   */
 final case class ElasticNetModel(
     weights: Array[Double], // in standardized space

@@ -71,10 +71,16 @@ final case class LogSpaceTrainer(inner: Trainer) extends Trainer {
     val (zMin, zMax) = (logYs.min, logYs.max)
     val m = inner.fit(xs, logYs)
     new Regressor {
-      override def predict(x: Array[Double]): Double = {
-        val z = math.min(zMax + 1.5, math.max(zMin - 1.5, m.predict(x)))
-        math.max(0.0, math.expm1(z))
-      }
+      override def predict(x: Array[Double]): Double = LogSpaceTrainer.fromLog(m.predict(x), zMin, zMax)
     }
   }
+}
+
+object LogSpaceTrainer {
+
+  /** A log-space prediction `z` back in raw space: `expm1` of `z` clamped to
+    * the training targets' range `[zMin, zMax]` widened by 1.5, floored at 0.
+    */
+  def fromLog(z: Double, zMin: Double, zMax: Double): Double =
+    math.max(0.0, math.expm1(math.min(zMax + 1.5, math.max(zMin - 1.5, z))))
 }

@@ -2,18 +2,17 @@ package repro.planner
 
 import repro.core.OpStats
 import repro.cleo.CostModel
+import repro.scopesim.DefaultPartitioner.MaxPartitions
 
 /** Partition-count exploration strategies of Section 5.3.
   *
   * A "stage" is a set of operators sharing one partition count; the stage
   * cost at P is the sum of each operator's learned cost with its statistics
   * re-evaluated at P. Sampling strategies probe the learned models at chosen
-  * counts; the analytical strategy solves `min θP/P + θC·P` in closed form
-  * from the models' raw coefficients.
+  * counts; the analytical strategy solves `min θP/P + θC·P` in closed form,
+  * with each member's θ fitted to probes of its model ([[CostModel.theta]]).
   */
 object PartitionExplorer {
-
-  val MaxPartitions = 3000
 
   /** One stage member: its learned model and its (P-independent) statistics. */
   final case class StageOp(model: CostModel, stats: OpStats)
@@ -53,33 +52,35 @@ object PartitionExplorer {
     geometricCandidates(s, pMax)
   }
 
-  /** Closed-form optimum of `Σ θP_i / P + Σ θC_i · P` (three sign cases of
-    * Section 5.3; with both sums negative the optimum is at a boundary).
+  /** The closed-form minimum of `θP/P + θC·P` over `[lo, hi]`, rounded to a
+    * count (the three sign cases of Section 5.3). With both θ positive the
+    * optimum is `sqrt(θP/θC)`, clamped into the bounds; otherwise the curve
+    * is monotone or concave and the cheaper bound wins (`lo` on a tie).
     */
-  def analyticalOptimum(thetas: Seq[(Double, Double)], pMax: Int = MaxPartitions): Int = {
-    val tp = thetas.map(_._1).sum
-    val tc = thetas.map(_._2).sum
-    def cost(p: Double): Double = tp / p + tc * p
-    val candidates = scala.collection.mutable.ArrayBuffer(1.0, pMax.toDouble)
-    if (tp > 0 && tc > 0) candidates += math.sqrt(tp / tc)
-    val best = candidates.minBy(cost)
-    math.max(1, math.min(pMax, math.round(best).toInt))
+  def optimum(thetaP: Double, thetaC: Double, lo: Double, hi: Double): Int = {
+    def cost(p: Double): Double = thetaP / p + thetaC * p
+    val best =
+      if (thetaP > 0 && thetaC > 0) math.max(lo, math.min(hi, math.sqrt(thetaP / thetaC)))
+      else if (cost(hi) < cost(lo)) hi
+      else lo
+    math.round(best).toInt
   }
 
+  /** A stage's count from its summed θ: the optimum within ±8× of the current
+    * (heuristic) count `cur`, or `cur` itself when the fit has no interior
+    * optimum — models trained at one operating point cannot be trusted to
+    * extrapolate to arbitrary partition counts.
+    */
+  def withinBand(thetaP: Double, thetaC: Double, cur: Int, pMax: Int): Int =
+    if (thetaP > 0 && thetaC > 0) optimum(thetaP, thetaC, math.max(1.0, cur / 8.0), math.min(pMax.toDouble, cur * 8.0))
+    else cur
+
   /** Analytical strategy applied to a stage: probe-fitted θ from each
-    * member's model; when the fit has no interior optimum the stage keeps
-    * its current (heuristic) count, like [[PartitionOptimizer]].
+    * member's model, summed, then [[withinBand]] of the members' current count.
     */
   def analytical(ops: Seq[StageOp], pMax: Int = MaxPartitions): Int = {
     val thetas = ops.map(o => o.model.theta(o.stats))
-    val tp = thetas.map(_._1).sum
-    val tc = thetas.map(_._2).sum
     val cur = ops.map(_.stats.p).max.toInt
-    if (tp > 0 && tc > 0) {
-      val opt = math.sqrt(tp / tc)
-      val lo = math.max(1.0, cur / 8.0)
-      val hi = math.min(pMax.toDouble, cur * 8.0)
-      math.round(math.max(lo, math.min(hi, opt))).toInt
-    } else math.max(1, math.min(pMax, cur))
+    math.max(1, math.min(pMax, withinBand(thetas.map(_._1).sum, thetas.map(_._2).sum, cur, pMax)))
   }
 }

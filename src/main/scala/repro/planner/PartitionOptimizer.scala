@@ -1,7 +1,7 @@
 package repro.planner
 
 import repro.cleo.CleoPredictor
-import repro.scopesim.{Determ, Phys, PhysOp}
+import repro.scopesim.{DefaultPartitioner, Phys, PhysOp}
 
 /** The paper's resource-aware planning extensions (Section 5.2): a
   * resource-context accumulates each stage member's (θP, θC) during
@@ -16,41 +16,54 @@ import repro.scopesim.{Determ, Phys, PhysOp}
   */
 object PartitionOptimizer {
 
-  private final class UnionFind {
-    private val parent = scala.collection.mutable.Map.empty[Long, Long]
-    def find(x: Long): Long = {
-      val p = parent.getOrElse(x, x)
+  private def isSetter(n: Phys): Boolean = n.children.isEmpty || n.op == PhysOp.Exchange
+
+  /** The stage decomposition of one plan, from a single post-order walk:
+    * `nodes(i)` is the i-th node in post-order and `classOf(i)` its stage
+    * class, numbered by first post-order appearance.
+    */
+  private final class Stages(root: Phys) {
+    private val nodeBuf = scala.collection.mutable.ArrayBuffer.empty[Phys]
+    private val setterOf = scala.collection.mutable.ArrayBuffer.empty[Int]
+    private val parent = scala.collection.mutable.ArrayBuffer.empty[Int]
+
+    private def find(x: Int): Int = {
+      val p = parent(x)
       if (p == x) x else { val r = find(p); parent(x) = r; r }
     }
-    def union(a: Long, b: Long): Unit = { val (ra, rb) = (find(a), find(b)); if (ra != rb) parent(ra) = rb }
-  }
 
-  private def pathOf(parent: Long, n: Phys, childIdx: Int): Long =
-    Determ.mix2(Determ.mix2(parent, childIdx.toLong), n.op.name.hashCode.toLong)
+    /** Appends `n`'s subtree; returns the index of the setter of `n`'s stage. */
+    private def walk(n: Phys): Int = {
+      val childSetters = n.children.map(walk)
+      val i = nodeBuf.length
+      nodeBuf += n
+      parent += i
+      val setter = if (isSetter(n)) i else childSetters.head
+      if (childSetters.length == 2) {
+        val (ra, rb) = (find(childSetters(0)), find(childSetters(1)))
+        if (ra != rb) parent(ra) = rb
+      }
+      setterOf += setter
+      setter
+    }
+    walk(root)
+
+    val nodes: IndexedSeq[Phys] = nodeBuf.toIndexedSeq
+    private val number = scala.collection.mutable.HashMap.empty[Int, Int]
+    val classOf: Array[Int] = nodes.indices.map(i => number.getOrElseUpdate(find(setterOf(i)), number.size)).toArray
+    val classes: Int = number.size
+  }
 
   /** The stage decomposition of a physical plan: groups of operators sharing
     * one partition count (a partitioning operator plus everything deriving
-    * its count, with join-coupled stages merged).
+    * its count, with join-coupled stages merged), in order of first
+    * post-order appearance, each group in post-order.
     */
   def stageGroups(root: Phys): Seq[Vector[Phys]] = {
-    val uf = new UnionFind
-    val members = scala.collection.mutable.Map.empty[Long, Vector[Phys]]
-    def collect(n: Phys, myPath: Long): Long = {
-      val childSetters = n.children.zipWithIndex.map { case (c, i) =>
-        collect(c, pathOf(myPath, c, i))
-      }
-      val setter =
-        if (n.children.isEmpty || n.op == PhysOp.Exchange) myPath
-        else childSetters.head
-      if (childSetters.length == 2) uf.union(childSetters(0), childSetters(1))
-      members(setter) = members.getOrElse(setter, Vector.empty) :+ n
-      setter
-    }
-    collect(root, 0x5EEDL)
-    members.toSeq
-      .groupBy { case (setter, _) => uf.find(setter) }
-      .values.map(_.flatMap(_._2).toVector)
-      .toSeq
+    val st = new Stages(root)
+    val groups = Array.fill(st.classes)(Vector.newBuilder[Phys])
+    st.nodes.indices.foreach(i => groups(st.classOf(i)) += st.nodes(i))
+    groups.map(_.result()).toSeq
   }
 
   /** Rewrites partition counts per stage using the predictor's learned θ, and
@@ -58,79 +71,41 @@ object PartitionOptimizer {
     * already partitioned on the same key at a near-identical count — the
     * paper's "skipping shuffle operators" plan change).
     */
-  def optimize(root: Phys, predictor: CleoPredictor, pMax: Int = PartitionExplorer.MaxPartitions): Phys = {
-    val uf = new UnionFind
-    val theta = scala.collection.mutable.Map.empty[Long, (Double, Double)]
+  def optimize(root: Phys, predictor: CleoPredictor, pMax: Int = DefaultPartitioner.MaxPartitions): Phys = {
+    val st = new Stages(root)
 
-    // Pass 1 — resource-context: per-stage θ sums + co-partitioning unions.
-    // Returns the setter path-id of the stage the node belongs to.
-    def collect(n: Phys, myPath: Long): Long = {
-      val childSetters = n.children.zipWithIndex.map { case (c, i) =>
-        collect(c, pathOf(myPath, c, i))
-      }
-      val setter =
-        if (n.children.isEmpty || n.op == PhysOp.Exchange) myPath
-        else childSetters.head
-      if (childSetters.length == 2) uf.union(childSetters(0), childSetters(1))
+    // Resource-context: per-class θ sums, and each class's current count
+    // (the largest of its setters') for the conservative fallback.
+    val thetaP = new Array[Double](st.classes)
+    val thetaC = new Array[Double](st.classes)
+    val current = new Array[Int](st.classes)
+    st.nodes.indices.foreach { i =>
+      val n = st.nodes(i)
+      val k = st.classOf(i)
       val (tp, tc) = predictor.theta(n)
-      val cur = theta.getOrElse(setter, (0.0, 0.0))
-      theta(setter) = (cur._1 + tp, cur._2 + tc)
-      setter
+      thetaP(k) += tp
+      thetaC(k) += tc
+      if (isSetter(n)) current(k) = math.max(current(k), n.partitions)
     }
-    collect(root, 0x5EEDL)
 
-    // Record each stage's current partition count (the heuristic choice) so
-    // the optimization can be conservative when θ is uninformative.
-    val currentP = scala.collection.mutable.Map.empty[Long, Int]
-    def recordP(n: Phys, myPath: Long): Unit = {
-      n.children.zipWithIndex.foreach { case (c, i) => recordP(c, pathOf(myPath, c, i)) }
-      if (n.children.isEmpty || n.op == PhysOp.Exchange) currentP(myPath) = n.partitions
-    }
-    recordP(root, 0x5EEDL)
+    // Partition optimization per class (Figure 8a, step 9).
+    val pStar = Array.tabulate(st.classes)(k => PartitionExplorer.withinBand(thetaP(k), thetaC(k), current(k), pMax))
 
-    // Partition optimization per union class (Figure 8a, step 9). A stage's
-    // count moves only when the fitted θ describes a genuine interior
-    // optimum (both sums positive), and then within a bounded band around
-    // the heuristic count — models trained at one operating point cannot be
-    // trusted to extrapolate to arbitrary partition counts.
-    val classTheta = scala.collection.mutable.Map.empty[Long, (Double, Double)]
-    theta.foreach { case (k, (tp, tc)) =>
-      val r = uf.find(k)
-      val cur = classTheta.getOrElse(r, (0.0, 0.0))
-      classTheta(r) = (cur._1 + tp, cur._2 + tc)
+    // Rebuild in the same post-order: setters adopt their class optimum,
+    // everything else derives its first child's count (Figure 8a, step 8).
+    var next = 0
+    def rebuild(n: Phys): Phys = {
+      val kids = n.children.map(rebuild)
+      val p = pStar(st.classOf(next))
+      next += 1
+      if (!isSetter(n)) n.copy(children = kids, partitions = kids.head.partitions)
+      else if (n.op == PhysOp.Exchange) {
+        val child = kids.head
+        val redundant = n.partitionKey.exists(k => child.partitionKey.contains(k)) &&
+          math.abs(child.partitions - p) <= math.max(1, (0.3 * child.partitions).toInt)
+        if (redundant) child else n.copy(children = kids, partitions = p)
+      } else n.copy(children = kids, partitions = p)
     }
-    val classCurrent: Map[Long, Int] = currentP.toSeq.groupBy { case (k, _) => uf.find(k) }
-      .view.mapValues(_.map(_._2).max).toMap
-    val pStar: Map[Long, Int] = classTheta.map { case (r, (tp, tc)) =>
-      val cur = classCurrent.getOrElse(r, 1)
-      val chosen =
-        if (tp > 0 && tc > 0) {
-          val opt = math.sqrt(tp / tc)
-          val lo = math.max(1.0, cur / 8.0)
-          val hi = math.min(pMax.toDouble, cur * 8.0)
-          math.round(math.max(lo, math.min(hi, opt))).toInt
-        } else cur
-      r -> chosen
-    }.toMap
-
-    // Pass 2 — rebuild: setters adopt their class optimum, everything else
-    // derives its first child's count (Figure 8a, step 8).
-    def rebuild(n: Phys, myPath: Long): Phys = {
-      val kids = n.children.zipWithIndex.map { case (c, i) =>
-        rebuild(c, pathOf(myPath, c, i))
-      }
-      if (n.children.isEmpty || n.op == PhysOp.Exchange) {
-        val p = pStar.getOrElse(uf.find(myPath), n.partitions)
-        if (n.op == PhysOp.Exchange) {
-          val child = kids.head
-          val redundant = n.partitionKey.exists(k => child.partitionKey.contains(k)) &&
-            math.abs(child.partitions - p) <= math.max(1, (0.3 * child.partitions).toInt)
-          if (redundant) child else n.copy(children = kids, partitions = p)
-        } else n.copy(children = kids, partitions = p)
-      } else {
-        n.copy(children = kids, partitions = kids.head.partitions)
-      }
-    }
-    rebuild(root, 0x5EEDL)
+    rebuild(root)
   }
 }

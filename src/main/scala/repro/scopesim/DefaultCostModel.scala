@@ -1,6 +1,6 @@
 package repro.scopesim
 
-/** The baseline cost models of Section 2.4 — hand-crafted heuristics over
+/** The baseline cost model of Section 2.4 — hand-crafted heuristics over
   * ESTIMATED statistics, in abstract cost units.
   *
   * The default model's pathologies mirror the paper's diagnosis:
@@ -9,10 +9,6 @@ package repro.scopesim
   *  - per-operator constants are hand-tuned and systematically off;
   *  - custom user code (Process) is a black box costed like a cheap scan;
   *  - it consumes estimated cardinalities whose error compounds with depth.
-  *
-  * The "manually-tuned" variant (the flag-guarded alternate model in
-  * Figure 1) improves the constants and divides by the partition count, but
-  * still knows nothing about the hidden per-subexpression behaviour.
   */
 object DefaultCostModel {
 
@@ -33,17 +29,15 @@ object DefaultCostModel {
 
   private def log2(x: Double): Double = math.log(math.max(2.0, x)) / math.log(2.0)
 
-  /** Heuristic total work from estimated stats (same shape family as the
-    * real engine, deliberately mis-weighted).
+  /** Heuristic total work of `op` over its input/output bytes, input rows
+    * and partition count (same shape family as the real engine,
+    * deliberately mis-weighted).
     */
-  private def estWork(n: Phys, f: Double): Double = {
-    val bIn = n.estBytesIn
-    val bOut = n.estOut * n.rowLen
-    n.op match {
-      case PhysOp.Sort => f * (6.0e-9 * bIn + 1.0e-6 * n.estIn * log2(n.estIn / n.partitions + 2))
-      case _           => f * (1.0e-8 * bIn + 5e-9 * bOut)
+  private def work(op: PhysOp, bytesIn: Double, bytesOut: Double, rowsIn: Double, p: Double): Double =
+    op match {
+      case PhysOp.Sort => 6.0e-9 * bytesIn + 1.0e-6 * rowsIn * log2(rowsIn / p + 2)
+      case _           => 1.0e-8 * bytesIn + 5e-9 * bytesOut
     }
-  }
 
   /** Cost-unit saturation: hand-tuned models normalize and cap their work
     * estimates, which under-costs the very largest operators by up to two
@@ -51,18 +45,11 @@ object DefaultCostModel {
     */
   private val CostCap = 400.0
 
+  private def cost(op: PhysOp, work: Double): Double = math.min(CostCap, 1.0 + fudge(op) * work * 0.08)
+
   /** Default model: exclusive cost of one operator, in cost units. */
   def exclusiveCost(n: Phys): Double =
-    math.min(CostCap, 1.0 + estWork(n, fudge(n.op)) * 0.08)
-
-  /** Manually-tuned model: partially partition-aware, milder constant error
-    * (still far from the truth — Figure 1's alternate model only lifted the
-    * correlation from 0.04 to 0.10).
-    */
-  def tunedExclusiveCost(n: Phys): Double = {
-    val f = 1.0 + (fudge(n.op) - 1.0) * 0.5
-    0.3 + 0.4 * estWork(n, f) / math.pow(n.partitions.toDouble, 0.75)
-  }
+    cost(n.op, work(n.op, n.estBytesIn, n.estOut * n.rowLen, n.estIn, n.partitions))
 
   /** Default-model cost from bare statistics (estimated input/output cards,
     * row length, partitions) — used when cardinalities are substituted by a
@@ -72,16 +59,8 @@ object DefaultCostModel {
     */
   def exclusiveCostFromStats(opName: String, s: repro.core.OpStats): Double = {
     val op = PhysOp.all.find(_.name == opName).getOrElse(PhysOp.Project)
-    val bIn = s.i * s.l
-    val bOut = s.c * s.l
-    val w = op match {
-      case PhysOp.Sort => 6.0e-9 * bIn + 1.0e-6 * s.i * log2(s.i / s.p + 2)
-      case _           => 1.0e-8 * bIn + 5e-9 * bOut
-    }
-    math.min(CostCap, 1.0 + w * fudge(op) * 0.08)
+    cost(op, work(op, s.i * s.l, s.c * s.l, s.i, s.p))
   }
 
   def jobCost(root: Phys): Double = root.allNodes.map(exclusiveCost).sum
-
-  def tunedJobCost(root: Phys): Double = root.allNodes.map(tunedExclusiveCost).sum
 }

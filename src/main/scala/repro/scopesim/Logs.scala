@@ -4,7 +4,7 @@ import repro.core.{Features, OpStats}
 
 /** One logged operator execution — the training/evaluation record CLEO's
   * feedback loop consumes (Section 5.1: signatures, statistics/features,
-  * actual exclusive runtime, plus the baseline models' estimates).
+  * actual exclusive runtime, plus the default model's estimate).
   */
 final case class OpSample(
     cluster: Int,
@@ -21,7 +21,6 @@ final case class OpSample(
     trueC: Double, // true output cardinality (observed at runtime)
     actual: Double, // exclusive latency, seconds
     defaultCost: Double,
-    tunedCost: Double,
 ) {
   def features: Array[Double] = Features.vector(stats)
   /** Kept once per sample: every prediction keys the operator family by it. */
@@ -44,7 +43,6 @@ object Logs {
         trueI = n.trueIn, trueC = n.trueOut,
         actual = GroundTruth.exclusiveLatency(n, run.instanceSeed, cfg),
         defaultCost = DefaultCostModel.exclusiveCost(n),
-        tunedCost = DefaultCostModel.tunedExclusiveCost(n),
       )
       n.children.flatMap(walk) :+ here
     }

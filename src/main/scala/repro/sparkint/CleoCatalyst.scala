@@ -93,14 +93,9 @@ object CleoCatalyst {
   /** Learned per-(query, join-strategy) latency model `t(P) = a + θP/P + θC·P`. */
   final case class PartitionFit(a: Double, thetaP: Double, thetaC: Double) {
     def predict(p: Int): Double = a + thetaP / p + thetaC * p
-    /** Closed-form optimum over [pMin, pMax] (same case analysis as §5.3). */
-    def optimum(pMin: Int, pMax: Int): Int = {
-      val cands = scala.collection.mutable.ArrayBuffer(pMin.toDouble, pMax.toDouble)
-      if (thetaP > 0 && thetaC > 0) cands += math.sqrt(thetaP / thetaC)
-      val best = cands.filter(p => p >= pMin && p <= pMax).minBy(predict0)
-      math.round(best).toInt
-    }
-    private def predict0(p: Double): Double = a + thetaP / p + thetaC * p
+    /** Closed-form optimum over [pMin, pMax] (§5.3, see [[repro.planner.PartitionExplorer.optimum]]). */
+    def optimum(pMin: Int, pMax: Int): Int =
+      repro.planner.PartitionExplorer.optimum(thetaP, thetaC, pMin.toDouble, pMax.toDouble)
   }
 
   def fitPartitionModel(obs: Seq[(Int, Double)]): Option[PartitionFit] =

@@ -7,6 +7,9 @@ class FeaturesSpec extends AnyFunSuite {
   private val s = OpStats(i = 1000, b = 5000, c = 100, l = 64, p = 8,
     inHash = 0xDEADBEEFL, pm = 1.5, cl = 4, depth = 3)
 
+  private val pSlot = Features.names.indexOf("P")
+  private val perPSlots = Features.names.indices.filter(Features.names(_).endsWith("/P"))
+
   test("vector length matches declared names") {
     assert(Features.vector(s).length == Features.dim)
     assert(Features.names.length == Features.dim)
@@ -22,15 +25,17 @@ class FeaturesSpec extends AnyFunSuite {
     assert(v(1) == 5000.0) // B
     assert(v(2) == 100.0)  // C
     assert(v(3) == 64.0)   // L
-    assert(v(Features.pIndex) == 8.0)
+    assert(v(pSlot) == 8.0)
     assert(v(Features.dim - 2) == 4.0) // CL
     assert(v(Features.dim - 1) == 3.0) // D
   }
 
   test("per-partition features equal numerator divided by P") {
     val v = Features.vector(s)
-    val nums = Features.invPNumerators(s)
-    Features.invPIndices.zip(nums).foreach { case (idx, num) =>
+    val nums = Seq(s.i, s.c, s.i * s.l, s.c * s.l, math.sqrt(s.i), math.sqrt(s.c), math.log1p(s.i))
+    assert(perPSlots.map(Features.names(_)) ==
+      Seq("I/P", "C/P", "I*L/P", "C*L/P", "sqrt(I)/P", "sqrt(C)/P", "log(I)/P"))
+    perPSlots.zip(nums).foreach { case (idx, num) =>
       assert(math.abs(v(idx) - num / 8.0) < 1e-9, Features.names(idx))
     }
   }
@@ -42,24 +47,8 @@ class FeaturesSpec extends AnyFunSuite {
 
   test("partition count is clamped to at least 1") {
     val v = Features.vector(s.copy(p = 0))
-    assert(v(Features.pIndex) == 1.0)
-    assert(v(Features.invPIndices(0)) == s.i)
-  }
-
-  test("partitionTheta extracts the 1/P coefficient sum and the P coefficient") {
-    // weights: 2.0 on P, 3.0 on I/P (index 23), rest zero
-    val w = new Array[Double](Features.dim)
-    w(Features.pIndex) = 2.0
-    w(23) = 3.0
-    val (tp, tc) = Features.partitionTheta(w, s)
-    assert(tc == 2.0)
-    assert(math.abs(tp - 3.0 * s.i) < 1e-9)
-  }
-
-  test("partitionTheta sums the whole 1/P group") {
-    val w = Array.fill(Features.dim)(1.0)
-    val (tp, _) = Features.partitionTheta(w, s)
-    assert(math.abs(tp - Features.invPNumerators(s).sum) < 1e-9)
+    assert(v(pSlot) == 1.0)
+    assert(v(perPSlots.head) == s.i)
   }
 
   test("withPartitions changes only P") {

@@ -95,6 +95,19 @@ class ElasticNetSpec extends AnyFunSuite {
       assert(m.predict(x) >= 0.0)
   }
 
+  test("a learned cost model and the log-space wrapper clamp alike") {
+    val rng = new scala.util.Random(11)
+    val xs = Array.fill(100)(Array(rng.nextDouble() * 100))
+    val ys = xs.map(x => 0.01 * x(0) + 0.1)
+    val logYs = ys.map(math.log1p)
+    val cost = repro.cleo.CostModel(ElasticNet().fit(xs, logYs), xs.length, logYs.min, logYs.max)
+    val wrapped = LogSpaceTrainer(ElasticNet()).fit(xs, ys)
+    for (x <- Seq(Array(-1e6), Array(0.0), Array(50.0), Array(1e6)))
+      assert(cost.predictCost(x) == wrapped.predict(x))
+    assert(wrapped.predict(Array(1e6)) == math.expm1(logYs.max + 1.5))
+    assert(wrapped.predict(Array(-1e6)) == math.max(0.0, math.expm1(logYs.min - 1.5)))
+  }
+
   test("rejects empty training sets") {
     intercept[IllegalArgumentException] {
       ElasticNet().fit(Array.empty[Array[Double]], Array.empty[Double])

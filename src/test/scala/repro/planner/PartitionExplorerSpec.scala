@@ -4,35 +4,60 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class PartitionExplorerSpec extends AnyFunSuite {
   import PartitionExplorer._
+  import repro.scopesim.DefaultPartitioner.MaxPartitions
+
+  private val stats = repro.core.OpStats(1e6, 1e6, 1e5, 100, 1, 0L, 1.0, 2, 2)
+
+  /** A model trained on cost(P) = 1e-4·I/P + 0.01·P over the given statistics. */
+  private def stageOp(s: repro.core.OpStats): StageOp = {
+    val ps = Seq(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3000)
+    val xs = ps.map(p => repro.core.Features.vector(s.withPartitions(p)))
+    val ys = ps.map(p => math.log1p(1e-4 * (s.i / p) + 0.01 * p))
+    val net = repro.ml.ElasticNet(l1 = 1e-6, l2 = 1e-6).fit(xs.toArray, ys.toArray)
+    StageOp(repro.cleo.CostModel(net, xs.size, ys.min, ys.max), s)
+  }
 
   test("analytical optimum matches sqrt(θP/θC) when both positive") {
-    val p = analyticalOptimum(Seq((400.0, 1.0)))
-    assert(p == 20)
+    assert(optimum(400.0, 1.0, 1, MaxPartitions) == 20)
   }
 
   test("analytical optimum sums thetas across stage members") {
-    val p = analyticalOptimum(Seq((100.0, 0.5), (300.0, 0.5)))
-    assert(p == 20)
+    val at64 = stats.withPartitions(64)
+    val ops = Seq(stageOp(at64), stageOp(at64.copy(i = 4e6, c = 2e5)))
+    val thetas = ops.map(o => o.model.theta(o.stats))
+    assert(thetas.forall { case (tp, tc) => tp > 0 && tc > 0 })
+    val (tp, tc) = (thetas.map(_._1).sum, thetas.map(_._2).sum)
+    assert(analytical(ops) == optimum(tp, tc, 8, 512))
+    assert(analytical(ops) != analytical(ops.take(1)), "the second member must move the optimum")
   }
 
   test("negative θP with positive θC pins to minimum partitions") {
-    assert(analyticalOptimum(Seq((-10.0, 2.0))) == 1)
+    assert(optimum(-10.0, 2.0, 1, MaxPartitions) == 1)
   }
 
   test("positive θP with negative θC pins to maximum partitions") {
-    assert(analyticalOptimum(Seq((10.0, -0.001))) == MaxPartitions)
+    assert(optimum(10.0, -0.001, 1, MaxPartitions) == MaxPartitions)
   }
 
   test("both negative picks the cheaper boundary") {
     // cost(P) = -100/P - 0.001P : cost(1) = -100.001, cost(3000) = -3.03 -> P=1
-    assert(analyticalOptimum(Seq((-100.0, -0.001))) == 1)
+    assert(optimum(-100.0, -0.001, 1, MaxPartitions) == 1)
     // cost(P) = -1/P - 1.0P : cost(3000) = -3000 -> P=3000
-    assert(analyticalOptimum(Seq((-1.0, -1.0))) == MaxPartitions)
+    assert(optimum(-1.0, -1.0, 1, MaxPartitions) == MaxPartitions)
   }
 
   test("analytical optimum is clamped to [1, pMax]") {
-    assert(analyticalOptimum(Seq((1e12, 1e-9)), pMax = 100) == 100)
-    assert(analyticalOptimum(Seq((0.0001, 1e9))) == 1)
+    assert(optimum(1e12, 1e-9, 1, 100) == 100)
+    assert(optimum(0.0001, 1e9, 1, MaxPartitions) == 1)
+  }
+
+  test("the ±8× band clamps the optimum and keeps the count without an interior optimum") {
+    assert(withinBand(400.0, 1.0, 16, MaxPartitions) == 20)
+    assert(withinBand(1e12, 1e-9, 16, MaxPartitions) == 128)
+    assert(withinBand(1e12, 1e-9, 1000, MaxPartitions) == MaxPartitions)
+    assert(withinBand(0.0001, 1e9, 16, MaxPartitions) == 2)
+    assert(withinBand(-10.0, 2.0, 16, MaxPartitions) == 16)
+    assert(withinBand(10.0, 0.0, 16, MaxPartitions) == 16)
   }
 
   test("geometric sequence starts 1,2 and grows by ~1/s") {
@@ -62,15 +87,7 @@ class PartitionExplorerSpec extends AnyFunSuite {
   }
 
   test("bestOf picks the candidate minimizing stage cost on a synthetic model") {
-    // cost model via a trained elastic net on y = 100/P + 0.01P
-    val stats = repro.core.OpStats(1e6, 1e6, 1e5, 100, 1, 0L, 1.0, 2, 2)
-    val xs = Seq(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3000).map(p =>
-      repro.core.Features.vector(stats.withPartitions(p)))
-    val ys = Seq(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3000).map(p =>
-      math.log1p(1e-4 * (1e6.toDouble / p) + 0.01 * p))
-    val net = repro.ml.ElasticNet(l1 = 1e-6, l2 = 1e-6).fit(xs.toArray, ys.toArray)
-    val model = repro.cleo.CostModel(net, xs.size, ys.min, ys.max)
-    val ops = Seq(StageOp(model, stats))
+    val ops = Seq(stageOp(stats))
     val exh = exhaustive(ops)
     val best = bestOf(ops, geometricCandidatesOfSize(20))
     val cExh = stageCost(ops, exh)

@@ -4,6 +4,92 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.cleo.{CleoPredictor, Trainer}
 import repro.scopesim._
 
+/** The partition optimizer as three walks keyed by path hashes (θ sums,
+  * current counts, rebuild), with its own stage walk: the reference the
+  * single decomposition must match exactly.
+  */
+private object ThreeWalkPartitionOptimizer {
+
+  private final class UnionFind {
+    private val parent = scala.collection.mutable.Map.empty[Long, Long]
+    def find(x: Long): Long = {
+      val p = parent.getOrElse(x, x)
+      if (p == x) x else { val r = find(p); parent(x) = r; r }
+    }
+    def union(a: Long, b: Long): Unit = { val (ra, rb) = (find(a), find(b)); if (ra != rb) parent(ra) = rb }
+  }
+
+  private def pathOf(parent: Long, n: Phys, childIdx: Int): Long =
+    Determ.mix2(Determ.mix2(parent, childIdx.toLong), n.op.name.hashCode.toLong)
+
+  def stageGroups(root: Phys): Seq[Vector[Phys]] = {
+    val uf = new UnionFind
+    val members = scala.collection.mutable.Map.empty[Long, Vector[Phys]]
+    def collect(n: Phys, myPath: Long): Long = {
+      val childSetters = n.children.zipWithIndex.map { case (c, i) => collect(c, pathOf(myPath, c, i)) }
+      val setter = if (n.children.isEmpty || n.op == PhysOp.Exchange) myPath else childSetters.head
+      if (childSetters.length == 2) uf.union(childSetters(0), childSetters(1))
+      members(setter) = members.getOrElse(setter, Vector.empty) :+ n
+      setter
+    }
+    collect(root, 0x5EEDL)
+    members.toSeq.groupBy { case (setter, _) => uf.find(setter) }.values.map(_.flatMap(_._2).toVector).toSeq
+  }
+
+  def optimize(root: Phys, predictor: CleoPredictor, pMax: Int = DefaultPartitioner.MaxPartitions): Phys = {
+    val uf = new UnionFind
+    val theta = scala.collection.mutable.Map.empty[Long, (Double, Double)]
+    def collect(n: Phys, myPath: Long): Long = {
+      val childSetters = n.children.zipWithIndex.map { case (c, i) => collect(c, pathOf(myPath, c, i)) }
+      val setter = if (n.children.isEmpty || n.op == PhysOp.Exchange) myPath else childSetters.head
+      if (childSetters.length == 2) uf.union(childSetters(0), childSetters(1))
+      val (tp, tc) = predictor.theta(n)
+      val cur = theta.getOrElse(setter, (0.0, 0.0))
+      theta(setter) = (cur._1 + tp, cur._2 + tc)
+      setter
+    }
+    collect(root, 0x5EEDL)
+    val currentP = scala.collection.mutable.Map.empty[Long, Int]
+    def recordP(n: Phys, myPath: Long): Unit = {
+      n.children.zipWithIndex.foreach { case (c, i) => recordP(c, pathOf(myPath, c, i)) }
+      if (n.children.isEmpty || n.op == PhysOp.Exchange) currentP(myPath) = n.partitions
+    }
+    recordP(root, 0x5EEDL)
+    val classTheta = scala.collection.mutable.Map.empty[Long, (Double, Double)]
+    theta.foreach { case (k, (tp, tc)) =>
+      val r = uf.find(k)
+      val cur = classTheta.getOrElse(r, (0.0, 0.0))
+      classTheta(r) = (cur._1 + tp, cur._2 + tc)
+    }
+    val classCurrent: Map[Long, Int] = currentP.toSeq.groupBy { case (k, _) => uf.find(k) }
+      .view.mapValues(_.map(_._2).max).toMap
+    val pStar: Map[Long, Int] = classTheta.map { case (r, (tp, tc)) =>
+      val cur = classCurrent.getOrElse(r, 1)
+      val chosen =
+        if (tp > 0 && tc > 0) {
+          val opt = math.sqrt(tp / tc)
+          val lo = math.max(1.0, cur / 8.0)
+          val hi = math.min(pMax.toDouble, cur * 8.0)
+          math.round(math.max(lo, math.min(hi, opt))).toInt
+        } else cur
+      r -> chosen
+    }.toMap
+    def rebuild(n: Phys, myPath: Long): Phys = {
+      val kids = n.children.zipWithIndex.map { case (c, i) => rebuild(c, pathOf(myPath, c, i)) }
+      if (n.children.isEmpty || n.op == PhysOp.Exchange) {
+        val p = pStar.getOrElse(uf.find(myPath), n.partitions)
+        if (n.op == PhysOp.Exchange) {
+          val child = kids.head
+          val redundant = n.partitionKey.exists(k => child.partitionKey.contains(k)) &&
+            math.abs(child.partitions - p) <= math.max(1, (0.3 * child.partitions).toInt)
+          if (redundant) child else n.copy(children = kids, partitions = p)
+        } else n.copy(children = kids, partitions = p)
+      } else n.copy(children = kids, partitions = kids.head.partitions)
+    }
+    rebuild(root, 0x5EEDL)
+  }
+}
+
 class PlannerSpec extends AnyFunSuite {
 
   private lazy val cfg = WorkloadGen.cluster(4)
@@ -15,6 +101,7 @@ class PlannerSpec extends AnyFunSuite {
     new CleoPredictor(Trainer.trainIndividuals(samples.filter(_.day <= 2)).copy(combined = stacked.combined))
   }
   private lazy val templates = WorkloadGen.genTemplates(cfg).map(t => t.id -> t).toMap
+  private lazy val c1Roots = WorkloadGen.genJobs(WorkloadGen.cluster(1)).filter(r => r.day == 3 && !r.adhoc).map(_.root)
 
   /** The bounded §6.6.1 job set: the first day-3 instance of each recurring
     * template, in job order, cut to 30 jobs.
@@ -22,29 +109,38 @@ class PlannerSpec extends AnyFunSuite {
   private lazy val planJobs = runs.filter(r => r.day == 3 && !r.adhoc)
     .groupBy(_.templateId).values.map(_.minBy(_.jobId)).toSeq.sortBy(_.jobId).take(30)
 
+  /** Every candidate plan the optimizer realizes for a job, in its order. */
+  private def candidates(r: JobRun): Seq[(Map[Int, PhysOp], Phys)] = {
+    val t = templates(r.templateId)
+    val cards = cardsOf(r)
+    val points = CascadesLite.choicePoints(t.root)
+    val fixed = points.drop(7).map { case (id, alts) => id -> t.physChoices.getOrElse(id, alts.head) }.toMap
+    val combos = points.take(7).foldRight(Seq(Map.empty[Int, PhysOp])) { case ((id, alts), acc) =>
+      for (m <- acc; a <- alts) yield m.updated(id, a)
+    }
+    combos.map { m =>
+      val choices = fixed ++ m
+      choices -> new Realizer(t.copy(physChoices = choices), cards, r.param, DefaultPartitioner).realize()
+    }
+  }
+
   private def cardsOf(r: JobRun): Map[Int, NodeCard] = r.root.allNodes.map(n => n.logicalId ->
     NodeCard(n.trueOut, n.estOut, n.trueBase, n.estBase, n.rowLen, n.inputs)).toMap
 
   /** CLEO optimization with nothing shared between candidates: each one is
     * realized, partition-tuned and costed from scratch by a plain predictor.
     */
-  private def referenceOptimize(r: JobRun, pred: CleoPredictor): CascadesLite.Planned = {
-    val t = templates(r.templateId)
-    val cards = cardsOf(r)
-    val points = CascadesLite.choicePoints(t.root)
-    val fixed = points.drop(7).map { case (id, alts) => id -> t.physChoices.getOrElse(id, alts.head) }.toMap
+  private def referenceOptimize(r: JobRun, pred: CleoPredictor): CascadesLite.Planned =
     // Same candidate order as the optimizer, so ties resolve alike.
-    val combos = points.take(7).foldRight(Seq(Map.empty[Int, PhysOp])) { case ((id, alts), acc) =>
-      for (m <- acc; a <- alts) yield m.updated(id, a)
-    }
-    combos.map { m =>
-      val choices = fixed ++ m
-      val realized = new Realizer(t.copy(physChoices = choices), cards, r.param, DefaultPartitioner).realize()
+    candidates(r).map { case (choices, realized) =>
       val opt = PartitionOptimizer.optimize(realized, pred)
       val kept = if (pred.jobCost(opt) <= pred.jobCost(realized)) opt else realized
       CascadesLite.Planned(kept, choices, pred.jobCost(kept))
     }.minBy(_.cost)
-  }
+
+  /** A plan's stages as a multiset of node multisets (order-free). */
+  private def stageMultiset(groups: Seq[Vector[Phys]]): Map[Map[Phys, Int], Int] =
+    groups.map(g => g.groupMapReduce(identity)(_ => 1)(_ + _)).groupMapReduce(identity)(_ => 1)(_ + _)
 
   test("stage groups partition the plan's operators exactly") {
     runs.take(50).foreach { r =>
@@ -159,5 +255,28 @@ class PlannerSpec extends AnyFunSuite {
     assert(again == first)
     assert(planB == referenceOptimize(b, predictor))
     assert(again == referenceOptimize(a, predictor))
+  }
+
+  test("one-walk partition optimization equals the three-walk reference exactly") {
+    val plans = c1Roots ++ planJobs.flatMap(candidates(_).map(_._2))
+    var moved = 0
+    plans.foreach { root =>
+      val got = PartitionOptimizer.optimize(root, predictor)
+      assert(got == ThreeWalkPartitionOptimizer.optimize(root, predictor))
+      if (got.allNodes.map(_.partitions) != root.allNodes.map(_.partitions)) moved += 1
+    }
+    assert(moved > plans.size / 3, s"the rewrite must actually move partition counts: $moved/${plans.size}")
+  }
+
+  test("stage groups equal the three-walk reference's as multisets of nodes") {
+    val plans = c1Roots ++ planJobs.map(_.root) ++ c1Roots.take(200).map(PartitionOptimizer.optimize(_, predictor))
+    plans.foreach { root =>
+      val got = PartitionOptimizer.stageGroups(root)
+      assert(stageMultiset(got) == stageMultiset(ThreeWalkPartitionOptimizer.stageGroups(root)))
+      // Deterministic order: groups by first post-order appearance, each in post-order.
+      val post = root.allNodes
+      val idx = got.map(_.map(n => post.indexWhere(_ eq n)))
+      assert(idx.forall(g => g == g.sorted) && idx.map(_.head) == idx.map(_.head).sorted)
+    }
   }
 }

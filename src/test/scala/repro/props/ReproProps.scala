@@ -36,20 +36,20 @@ object FeaturesProps extends Properties("Features") {
     d <- Gen.choose(1, 30)
   } yield OpStats(i, b, c, l, p, h, pm, cl, d)
 
+  private val pSlot = Features.names.indexOf("P")
+  private val perPSlots = Features.names.indices.filter(Features.names(_).endsWith("/P"))
+
   property("vector has fixed dimension and finite entries") = forAll(statsGen) { s =>
     val v = Features.vector(s)
     v.length == Features.dim && v.forall(x => !x.isNaN && !x.isInfinite)
   }
   property("P feature equals stats.p (clamped)") = forAll(statsGen) { s =>
-    Features.vector(s)(Features.pIndex) == math.max(1.0, s.p)
+    Features.vector(s)(pSlot) == math.max(1.0, s.p)
   }
   property("invP features scale as 1/P") = forAll(statsGen) { s =>
     val v1 = Features.vector(s.withPartitions(10))
     val v2 = Features.vector(s.withPartitions(20))
-    Features.invPIndices.forall(j => math.abs(v1(j) - 2.0 * v2(j)) <= 1e-6 * math.abs(v1(j)) + 1e-12)
-  }
-  property("theta of zero weights is zero") = forAll(statsGen) { s =>
-    Features.partitionTheta(new Array[Double](Features.dim), s) == ((0.0, 0.0))
+    perPSlots.nonEmpty && perPSlots.forall(j => math.abs(v1(j) - 2.0 * v2(j)) <= 1e-6 * math.abs(v1(j)) + 1e-12)
   }
 }
 
