@@ -1,15 +1,13 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments._
 
-/** Shared helpers for bench suites: every bench prints its table (captured in
-  * bench_output.txt for EXPERIMENTS.md) and asserts the paper's *shape*, not
-  * its absolute numbers.
+/** Shared helpers for the simulator bench suites: every bench prints its
+  * table (EXPERIMENTS.md records the numbers) and asserts the paper's *shape*,
+  * not its absolute numbers. These suites start no SparkSession.
   */
-trait BenchSpec extends SparkSpec {
-  def sparkOpt = Some(spark)
-
+trait BenchSpec extends AnyFunSuite {
   /** Parses a measured cell like "14.2%" / "0.92" / "1.2 MB" back to a double. */
   def num(cell: String): Double =
     cell.replaceAll("[^0-9.eE+-]", "").toDouble
@@ -18,7 +16,7 @@ trait BenchSpec extends SparkSpec {
 /** Table 1 — elastic net loss functions (paper: MSLE 14% ≪ MedAE 246%). */
 class Table1Bench extends BenchSpec {
   test("Table 1: MSLE is the best loss") {
-    val t = Tables.table1(sparkOpt)
+    val t = Tables.table1()
     println(t.render)
     val err = t.rows.map(r => r(0) -> num(r(1))).toMap
     assert(err("Mean Squared-Log Error") <= err.values.min + 1e-9)
@@ -36,7 +34,7 @@ class Table1Bench extends BenchSpec {
 /** Table 4 — ML algorithms on op-subgraph models. */
 class Table4Bench extends BenchSpec {
   test("Table 4: all learned algorithms beat the default model; elastic net competitive") {
-    val t = Tables.table4(sparkOpt)
+    val t = Tables.table4()
     println(t.render)
     val byName = t.rows.map(r => r(0) -> (num(r(1)), num(r(2)))).toMap
     val (dCorr, dErr) = byName("Default")
@@ -52,7 +50,7 @@ class Table4Bench extends BenchSpec {
 /** Table 5 — family accuracy/coverage ladder. */
 class Table5Bench extends BenchSpec {
   test("Table 5: specialization trades coverage for accuracy; combined gets both") {
-    val t = Tables.table5(sparkOpt)
+    val t = Tables.table5()
     println(t.render)
     val m = t.rows.map(r => r(0) -> (num(r(1)), num(r(2)), num(r(3)))).toMap
     val (_, subErr, subCov) = m("Op-Subgraph")
@@ -73,7 +71,7 @@ class Table5Bench extends BenchSpec {
 /** Table 6 — meta-learner comparison for the combined model. */
 class Table6Bench extends BenchSpec {
   test("Table 6: FastTree is the adequate meta-learner and beats plain elastic net") {
-    val t = Tables.table6(sparkOpt)
+    val t = Tables.table6()
     println(t.render)
     val m = t.rows.map(r => r(0) -> (num(r(1)), num(r(2)))).toMap
     val (ftCorr, ftErr) = m("FastTree Regression")
@@ -87,7 +85,7 @@ class Table6Bench extends BenchSpec {
 /** Table 7 — all-jobs vs ad-hoc breakdown. */
 class Table7Bench extends BenchSpec {
   test("Table 7: ad-hoc jobs retain coverage via shared subexpressions and stay predictable") {
-    val t = Tables.table7(sparkOpt)
+    val t = Tables.table7()
     println(t.render)
     val m = t.rows.map(r => r(0) -> r).toMap
     val subAll = num(m("Op-Subgraph")(4))
@@ -106,7 +104,7 @@ class Table7Bench extends BenchSpec {
 /** Table 8 — per-cluster default vs learned. */
 class Table8Bench extends BenchSpec {
   test("Table 8: learned dominates default on every cluster") {
-    val t = Tables.table8(sparkOpt)
+    val t = Tables.table8()
     println(t.render)
     t.rows.foreach { r =>
       val (dCorr, dErr, lCorr, lErr, laErr) = (num(r(1)), num(r(2)), num(r(3)), num(r(4)), num(r(6)))
@@ -134,7 +132,7 @@ class WorkloadSummaryBench extends BenchSpec {
 /** §6.4 — CardLearner comparison. */
 class CardLearnerBench extends BenchSpec {
   test("CardLearner: fixing cardinalities alone does not fix cost estimates") {
-    val t = Tables.cardLearner(sparkOpt)
+    val t = Tables.cardLearner()
     println(t.render)
     val m = t.rows.map(r => r(0) -> (num(r(1)), num(r(2)))).toMap
     val (_, dflt) = m("Default")
@@ -151,7 +149,7 @@ class CardLearnerBench extends BenchSpec {
 /** §6.5 — partition exploration. */
 class PartitionExplorationBench extends BenchSpec {
   test("partition exploration: geometric sampling and the analytical closed form") {
-    val t = Tables.partitionExploration(sparkOpt)
+    val t = Tables.partitionExploration()
     println(t.render)
     val sampled = t.rows.dropRight(1).map(r => (num(r(0)), num(r(1)), num(r(2)), num(r(3))))
     val analytical = num(t.rows.last(3))
@@ -170,7 +168,7 @@ class PartitionExplorationBench extends BenchSpec {
 /** §6.6.1 — plan and resource changes. */
 class PlanPerformanceBench extends BenchSpec {
   test("plan changes: most executed changed plans improve latency and CPU time") {
-    val t = Tables.planPerformance(sparkOpt)
+    val t = Tables.planPerformance()
     println(t.render)
     val m = t.rows.map(r => r(0) -> num(r(1))).toMap
     assert(m("plans changed (with partition exploration)") >=
@@ -185,11 +183,11 @@ class PlanPerformanceBench extends BenchSpec {
 /** §6.6.3 — overheads. */
 class OverheadBench extends BenchSpec {
   test("training is fast and the model footprint is modest") {
-    val t = Tables.overheads(sparkOpt)
+    val t = Tables.overheads()
     println(t.render)
     val m = t.rows.map(r => r(0) -> r(1)).toMap
     assert(num(m("training time")) < 600.0, "cluster-4 training under 10 minutes")
-    assert(num(m("est. model memory")) < 600.0, "model footprint under the paper's 600 MB")
+    assert(num(m("model memory (serialized)")) < 600.0, "model footprint under the paper's 600 MB")
     // The paper's optimization time is "orders of a few hundred ms" per job;
     // CLEO costing+partition-optimization must stay well inside that.
     assert(num(m("CLEO optimization time per job")) <= 100.0, "per-job ms budget")

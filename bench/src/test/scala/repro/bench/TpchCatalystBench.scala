@@ -1,11 +1,12 @@
 package repro.bench
 
+import repro.SparkSpec
 import repro.experiments.TpchExperiment
 
 /** §6.6.2 — the real-Spark retrofit: learned costs choose join strategy and
   * shuffle partitions through Catalyst; changed plans are oracle-verified.
   */
-class TpchCatalystBench extends BenchSpec {
+class TpchCatalystBench extends SparkSpec {
   test("TPC-H-lite: CLEO changes plans via Catalyst, changed plans verified and mostly faster") {
     val sf = sys.env.getOrElse("REPRO_TPCH_SF", "0.05").toDouble
     val outcomes = TpchExperiment.run(spark, sf, oracleSf = 0.004)

@@ -1,13 +1,14 @@
 package repro.cleo
 
-import org.apache.spark.sql.SparkSession
 import repro.ml._
 import repro.scopesim.OpSample
+import scala.collection.parallel.CollectionConverters._
 
 /** The CLEO training pipeline of Section 5.1: group logged operator samples
-  * by each family's signature, train an elastic net per signature (in
-  * parallel on Spark, like the paper's SCOPE-based parallel trainer), then
-  * train the combined FastTree meta-model on a held-out slice.
+  * by each family's signature, train an elastic net per signature (one
+  * data-parallel map over the independent signature groups, like the paper's
+  * SCOPE-based parallel trainer), then train the combined FastTree meta-model
+  * on a held-out slice.
   */
 object Trainer {
 
@@ -31,32 +32,20 @@ object Trainer {
     CostModel(elasticNet.fit(xs, ys), ss.length, ys.min, ys.max)
   }
 
-  /** Trains one family's model map; Spark-parallel over signatures when a
-    * session is supplied.
+  /** Trains one family's model map. Each signature's model depends only on
+    * its own group and the learner shares no mutable state, so the groups are
+    * fit concurrently.
     */
-  def trainFamily(
-      samples: Seq[OpSample], family: Family, spark: Option[SparkSession] = None): Map[Long, CostModel] = {
-    val gs = groups(samples, family).toSeq
-    spark match {
-      case Some(ss) if gs.size > 64 =>
-        val slices = math.min(gs.size, ss.sparkContext.defaultParallelism * 4)
-        ss.sparkContext
-          .parallelize(gs, slices)
-          .map { case (k, arr) => (k, fitOne(arr)) }
-          .collect()
-          .toMap
-      case _ =>
-        gs.map { case (k, arr) => (k, fitOne(arr)) }.toMap
-    }
-  }
+  def trainFamily(samples: Seq[OpSample], family: Family): Map[Long, CostModel] =
+    groups(samples, family).toVector.par.map { case (k, arr) => (k, fitOne(arr)) }.seq.toMap
 
   /** Trains the four individual families (no combined model yet). */
-  def trainIndividuals(samples: Seq[OpSample], spark: Option[SparkSession] = None): CleoModelSet =
+  def trainIndividuals(samples: Seq[OpSample]): CleoModelSet =
     CleoModelSet(
-      sub = trainFamily(samples, Family.Subgraph, spark),
-      approx = trainFamily(samples, Family.Approx, spark),
-      input = trainFamily(samples, Family.Input, spark),
-      operator = trainFamily(samples, Family.Operator, spark),
+      sub = trainFamily(samples, Family.Subgraph),
+      approx = trainFamily(samples, Family.Approx),
+      input = trainFamily(samples, Family.Input),
+      operator = trainFamily(samples, Family.Operator),
       combined = None,
     )
 
@@ -69,5 +58,16 @@ object Trainer {
     val ys = metaSamples.map(s => math.max(0.0, s.actual)).toArray
     val meta = LogSpaceTrainer(trainer).fit(xs, ys)
     set.copy(combined = Some(meta))
+  }
+
+  /** The deployed bundle of the Section 5.1 protocol, stacked so the combined
+    * model never sees its own training rows through the individual models:
+    * individual models on day 1, the combined model trained on day-2 samples
+    * against them, then individual models on days 1-2 under that combined
+    * model. Later days stay untouched for testing.
+    */
+  def deploy(samples: Seq[OpSample]): CleoModelSet = {
+    val stacked = withCombined(trainIndividuals(samples.filter(_.day == 1)), samples.filter(_.day == 2))
+    trainIndividuals(samples.filter(_.day <= 2)).copy(combined = stacked.combined)
   }
 }

@@ -1,11 +1,11 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.cleo.{CardLearner, CleoModelSet, Family, Trainer => CleoTrainer}
 import repro.ml.{CrossValidation, ElasticNet, FastTree, LogSpaceTrainer, Loss, MLP, Metrics,
   RandomForest, RegressionTree, Trainer => MlTrainer}
 import repro.planner._
 import repro.scopesim._
+import scala.collection.parallel.CollectionConverters._
 
 /** A rendered experiment table: paper reference values sit next to measured
   * ones so EXPERIMENTS.md can be diffed against the paper.
@@ -50,24 +50,20 @@ object Tables {
       .toSeq.sortBy(_._1).take(1000).map(_._2)
   }
 
-  private def cvPooled(
-      groups: Seq[Array[OpSample]], trainer: MlTrainer, logSpace: Boolean,
-      spark: Option[SparkSession]): Seq[(Double, Double)] = {
+  /** Pooled out-of-fold pairs over all groups, in group order; the groups
+    * are cross-validated concurrently.
+    */
+  private def cvPooled(groups: Seq[Array[OpSample]], trainer: MlTrainer, logSpace: Boolean): Seq[(Double, Double)] = {
     val t: MlTrainer = if (logSpace) LogSpaceTrainer(trainer) else trainer
-    def one(arr: Array[OpSample]) =
+    groups.toVector.par.flatMap { arr =>
       CrossValidation.outOfFold(arr.map(_.features), arr.map(_.actual), t, k = 5)
-    spark match {
-      case Some(ssn) =>
-        val slices = math.min(groups.size, ssn.sparkContext.defaultParallelism * 4)
-        ssn.sparkContext.parallelize(groups, math.max(1, slices)).flatMap(one).collect().toSeq
-      case None => groups.flatMap(one)
-    }
+    }.seq
   }
 
   // ---------------------------------------------------------------- Table 1
 
   /** Table 1: elastic-net median error under the four regression losses. */
-  def table1(spark: Option[SparkSession]): TableResult = {
+  def table1(): TableResult = {
     val losses = Seq(
       (Loss.MedAE, false, "246%"),
       (Loss.MAE, false, "62%"),
@@ -76,7 +72,7 @@ object Tables {
     )
     val rows = losses.map { case (loss, isLog, paper) =>
       val net = ElasticNet(l1 = 0.003, l2 = 0.01, loss = if (isLog) Loss.MSE else loss)
-      val pairs = cvPooled(cvGroups, net, logSpace = isLog, spark)
+      val pairs = cvPooled(cvGroups, net, logSpace = isLog)
       val (_, med, _) = metrics(pairs)
       Seq(loss.name, pct(med), paper)
     }
@@ -88,7 +84,7 @@ object Tables {
   // ---------------------------------------------------------------- Table 4
 
   /** Table 4: ML algorithms on operator-subgraph models. */
-  def table4(spark: Option[SparkSession]): TableResult = {
+  def table4(): TableResult = {
     val algos: Seq[(String, MlTrainer, String, String)] = Seq(
       ("Neural Network", MLP(epochs = 120), "0.89", "27%"),
       ("Decision Tree", RegressionTree(maxDepth = 15), "0.91", "19%"),
@@ -100,7 +96,7 @@ object Tables {
     val (dc, dm, _) = metrics(covered.map(s => (s.defaultCost, s.actual)))
     val defaultRow = Seq("Default", f2(dc), f1(dm) + "%", "0.04", "258%")
     val rows = algos.map { case (name, t, pc, pe) =>
-      val pairs = cvPooled(cvGroups, t, logSpace = true, spark)
+      val pairs = cvPooled(cvGroups, t, logSpace = true)
       val (c, m, _) = metrics(pairs)
       Seq(name, f2(c), f1(m) + "%", pc, pe)
     }
@@ -138,8 +134,8 @@ object Tables {
   }
 
   /** Table 5: accuracy/coverage per learned model family (cluster 1). */
-  def table5(spark: Option[SparkSession]): TableResult = {
-    val set = Workloads.trained(1, spark)
+  def table5(): TableResult = {
+    val set = Workloads.trained(1)
     val test = Workloads.testDay(1)
     val paper = Map(
       "Default" -> ("0.04", "258%", "100%"), "Op-Subgraph" -> ("0.92", "14%", "54%"),
@@ -161,10 +157,11 @@ object Tables {
   }
 
   /** Table 6: meta-learners for the combined model. */
-  def table6(spark: Option[SparkSession]): TableResult = {
-    val indivD1 = Workloads.individualsDay1(1, spark)
-    val full = Workloads.trained(1, spark)
-    val d2 = Workloads.samples(1).filter(_.day == 2)
+  def table6(): TableResult = {
+    val ss = Workloads.samples(1)
+    val indivD1 = CleoTrainer.trainIndividuals(ss.filter(_.day == 1))
+    val full = Workloads.trained(1)
+    val d2 = ss.filter(_.day == 2)
     val test = Workloads.testDay(1)
     val metas: Seq[(String, MlTrainer, String, String)] = Seq(
       ("Neural Network", MLP(epochs = 120), "0.79", "31%"),
@@ -187,8 +184,8 @@ object Tables {
   }
 
   /** Table 7: per-family breakdown, all jobs vs ad-hoc only (cluster 1). */
-  def table7(spark: Option[SparkSession]): TableResult = {
-    val set = Workloads.trained(1, spark)
+  def table7(): TableResult = {
+    val set = Workloads.trained(1)
     val test = Workloads.testDay(1)
     val adhoc = test.filter(_.adhoc)
     val paper = Map(
@@ -215,14 +212,14 @@ object Tables {
   }
 
   /** Table 8: default vs combined learned model per cluster. */
-  def table8(spark: Option[SparkSession]): TableResult = {
+  def table8(): TableResult = {
     val paper = Map(
       1 -> Seq("0.12", "182%", "0.79", "21%", "0.73", "29%"),
       2 -> Seq("0.08", "256%", "0.77", "33%", "0.75", "40%"),
       3 -> Seq("0.15", "165%", "0.83", "26%", "0.81", "38%"),
       4 -> Seq("0.05", "153%", "0.74", "15%", "0.72", "26%"))
     val rows = (1 to 4).map { c =>
-      val set = Workloads.trained(c, spark)
+      val set = Workloads.trained(c)
       val test = Workloads.testDay(c)
       val adhoc = test.filter(_.adhoc)
       val d = evalDefault(test)
@@ -242,23 +239,17 @@ object Tables {
   // ------------------------------------------------------------- Section 6.4
 
   /** CardLearner comparison (Figure 15 headline numbers). */
-  def cardLearner(spark: Option[SparkSession]): TableResult = {
+  def cardLearner(): TableResult = {
     val cluster = 4
     val ss = Workloads.samples(cluster)
     val train = ss.filter(_.day <= 2)
     val test = Workloads.testDay(cluster)
     val cl = CardLearner.train(train)
-    val set = Workloads.trained(cluster, spark)
+    val set = Workloads.trained(cluster)
     // CLEO+CardLearner retrains the learned models on the corrected
     // statistics (the corrector changes the feature distribution, so the
     // deployed models must be trained against it).
-    val correctedSet = {
-      def corrected(ss: Seq[OpSample]) = ss.map(s => s.copy(stats = cl.correctedStats(s)))
-      val d1 = corrected(ss.filter(_.day == 1))
-      val d2 = corrected(ss.filter(_.day == 2))
-      val stacked = CleoTrainer.withCombined(CleoTrainer.trainIndividuals(d1, spark), d2)
-      CleoTrainer.trainIndividuals(d1 ++ d2, spark).copy(combined = stacked.combined)
-    }
+    val correctedSet = CleoTrainer.deploy(train.map(s => s.copy(stats = cl.correctedStats(s))))
 
     def statsDefault(s: OpSample) = DefaultCostModel.exclusiveCostFromStats(s.op, s.stats)
     def statsDefaultCl(s: OpSample) = DefaultCostModel.exclusiveCostFromStats(s.op, cl.correctedStats(s))
@@ -283,8 +274,8 @@ object Tables {
   // ------------------------------------------------------------- Section 6.5
 
   /** Partition-exploration accuracy vs efficiency (Figure 17 + 8c numbers). */
-  def partitionExploration(spark: Option[SparkSession]): TableResult = {
-    val pred = Workloads.predictor(1, spark)
+  def partitionExploration(): TableResult = {
+    val pred = Workloads.predictor(1)
     val pMax = DefaultPartitioner.MaxPartitions
     // Stage instances whose learned cost curve has an interior optimum — a
     // curve that is monotone all the way to a boundary makes every strategy
@@ -334,10 +325,10 @@ object Tables {
   // ------------------------------------------------------------- Section 6.6.1
 
   /** Plan/resource changes executed on the simulator (Figure 19 numbers). */
-  def planPerformance(spark: Option[SparkSession]): TableResult = {
+  def planPerformance(): TableResult = {
     val cluster = 4
     val cfg = Workloads.config(cluster)
-    val pred = Workloads.predictor(cluster, spark)
+    val pred = Workloads.predictor(cluster)
     val tmpls = Workloads.templates(cluster)
     val runs = Workloads.runs(cluster).filter(r => r.day == 3 && !r.adhoc)
       .groupBy(_.templateId).values.map(_.head).toSeq.sortBy(_.jobId).take(120)
@@ -401,16 +392,23 @@ object Tables {
   // ------------------------------------------------------------- Section 6.6.3
 
   /** Training and optimization-time overheads. */
-  def overheads(spark: Option[SparkSession]): TableResult = {
+  def overheads(): TableResult = {
     val t0 = System.nanoTime()
     val ss = Workloads.samples(4).filter(_.day <= 2)
-    val set = CleoTrainer.trainIndividuals(ss, spark)
+    val set = CleoTrainer.trainIndividuals(ss)
     val trainSecs = (System.nanoTime() - t0) / 1e9
     val nModels = set.sub.size + set.approx.size + set.input.size + set.operator.size
-    val memMb = nModels * (32 + 64 + 16) * 8.0 / 1e6
+    // Java-serialized size of cluster 4's deployed bundle (individual and
+    // combined models), as perfbench's cleo.model_mb measures it.
+    val memMb = {
+      val bytes = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(bytes)
+      try out.writeObject(Workloads.trained(4)) finally out.close()
+      bytes.size / 1e6
+    }
 
     val cfgC = Workloads.config(4)
-    val pred = Workloads.predictor(4, spark)
+    val pred = Workloads.predictor(4)
     val tmpls = Workloads.templates(4)
     val jobs = Workloads.runs(4).filter(r => r.day == 3 && !r.adhoc).take(30)
     def time(f: JobRun => Unit): Double = {
@@ -421,7 +419,7 @@ object Tables {
     val rows = Seq(
       Seq("individual models trained (cluster 4)", nModels.toString, "~23K (800-job cluster)"),
       Seq("training time", f1(trainSecs) + " s", "< 1 h for 800 jobs"),
-      Seq("est. model memory", f1(memMb) + " MB", "~600 MB for 25K models"),
+      Seq("model memory (serialized)", f1(memMb) + " MB", "~600 MB for 25K models"),
       Seq("default optimization time per job", f1(tDef / jobs.size * 1000) + " ms", "-"),
       Seq("CLEO optimization time per job", f1(tCleo / jobs.size * 1000) + " ms",
         "few hundred ms total optimization"),

@@ -2,7 +2,7 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.Oracle
-import repro.sparkint.{CleoCatalyst, CleoJoinHintRule, TpchLite}
+import repro.sparkint.{CleoCatalyst, TpchLite}
 
 /** The real-Spark retrofit experiment (Section 6.6.2 analog): train per-query
   * partition/latency models from parameterized runs, let CLEO choose the join
@@ -43,25 +43,19 @@ object TpchExperiment {
     }
 
     // Correctness: every changed plan must return the same rows as DuckDB on
-    // identical (small) input with the CLEO configuration active.
+    // identical (small) input, under the same CLEO configuration it was timed
+    // with.
     val smallTables = TpchLite.register(spark, oracleSf)
     val verified = timed.map { o =>
       if (!o.changed) o
       else {
         val q = TpchLite.queries.find(_.name == o.query).get
-        val prevParts = spark.conf.get("spark.sql.shuffle.partitions")
-        try {
-          spark.conf.set("spark.sql.shuffle.partitions", o.chosen.partitions.toString)
-          CleoCatalyst.enable(spark)
-          CleoJoinHintRule.hint = Some(o.chosen.strategyHint)
-          val df = spark.sql(q.sql(evalParam))
-          Oracle.assertEquivalent(df, q.sql(evalParam),
-            q.tables.map(t => t -> smallTables(t)): _*)
-          o.copy(verified = true)
-        } finally {
-          CleoJoinHintRule.hint = None
-          spark.conf.set("spark.sql.shuffle.partitions", prevParts)
+        val sql = q.sql(evalParam)
+        CleoCatalyst.enable(spark)
+        CleoCatalyst.withConfig(spark, o.chosen) {
+          Oracle.assertEquivalent(spark.sql(sql), sql, q.tables.map(t => t -> smallTables(t)): _*)
         }
+        o.copy(verified = true)
       }
     }
     // restore full-size views for any later bench

@@ -1,6 +1,5 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.cleo._
 import repro.scopesim._
 import scala.collection.concurrent.TrieMap
@@ -14,7 +13,6 @@ object Workloads {
   private val samplesCache = TrieMap.empty[Int, Vector[OpSample]]
   private val templatesCache = TrieMap.empty[Int, Map[Long, JobTemplate]]
   private val trainedCache = TrieMap.empty[Int, CleoModelSet]
-  private val indivD1Cache = TrieMap.empty[Int, CleoModelSet]
 
   def config(cluster: Int): ClusterConfig = WorkloadGen.cluster(cluster)
 
@@ -28,26 +26,11 @@ object Workloads {
     templatesCache.getOrElseUpdate(cluster,
       WorkloadGen.genTemplates(config(cluster)).map(t => t.id -> t).toMap)
 
-  /** The deployed CLEO bundle for a cluster (Section 5.1 protocol, stacked to
-    * avoid leakage): individual models on days 1–2; the combined FastTree is
-    * trained on day-2 samples against day-1-only individuals, then deployed
-    * over the day-1–2 individuals. Day 3 stays untouched for testing.
-    */
-  /** Individual models trained on day 1 only (meta-training inputs). */
-  def individualsDay1(cluster: Int, spark: Option[SparkSession] = None): CleoModelSet =
-    indivD1Cache.getOrElseUpdate(cluster,
-      Trainer.trainIndividuals(samples(cluster).filter(_.day == 1), spark))
+  /** The deployed CLEO bundle for a cluster ([[Trainer.deploy]]). */
+  def trained(cluster: Int): CleoModelSet =
+    trainedCache.getOrElseUpdate(cluster, Trainer.deploy(samples(cluster)))
 
-  def trained(cluster: Int, spark: Option[SparkSession] = None): CleoModelSet =
-    trainedCache.getOrElseUpdate(cluster, {
-      val ss = samples(cluster)
-      val d2 = ss.filter(_.day == 2)
-      val stacked = Trainer.withCombined(individualsDay1(cluster, spark), d2)
-      Trainer.trainIndividuals(ss.filter(_.day <= 2), spark).copy(combined = stacked.combined)
-    })
-
-  def predictor(cluster: Int, spark: Option[SparkSession] = None): CleoPredictor =
-    new CleoPredictor(trained(cluster, spark))
+  def predictor(cluster: Int): CleoPredictor = new CleoPredictor(trained(cluster))
 
   def testDay(cluster: Int): Vector[OpSample] = samples(cluster).filter(_.day == 3)
 }

@@ -63,31 +63,40 @@ object CleoCatalyst {
     }
   }
 
-  /** Runs a query under a configuration; returns (wall seconds, cpu seconds).
-    * The result sink is the noop DSv2 source, so the full pipeline executes
-    * without materialization overhead. AQE is disabled so the chosen shuffle
-    * partition count is actually used.
+  /** Runs `body` under a configuration: its shuffle partition count, AQE off
+    * (so that count is the one Spark uses) and its join-strategy hint. All
+    * three settings are restored afterwards, also when `body` throws. The hint
+    * acts only once [[enable]] has installed the rule.
     */
-  def runOnce(spark: SparkSession, sql: String, cfg: Config): (Double, Double) = {
-    enable(spark)
+  def withConfig[T](spark: SparkSession, cfg: Config)(body: => T): T = {
     val prevParts = spark.conf.get("spark.sql.shuffle.partitions")
-    val prevAqe = spark.conf.getOption("spark.sql.adaptive.enabled").getOrElse("true")
-    val listener = new TaskTimeListener
-    spark.sparkContext.addSparkListener(listener)
+    val prevAqe = spark.conf.get("spark.sql.adaptive.enabled")
+    val prevHint = CleoJoinHintRule.hint
     try {
       spark.conf.set("spark.sql.shuffle.partitions", cfg.partitions.toString)
       spark.conf.set("spark.sql.adaptive.enabled", "false")
       CleoJoinHintRule.hint = Some(cfg.strategyHint)
-      val t0 = System.nanoTime()
-      spark.sql(sql).write.format("noop").mode("overwrite").save()
-      val wall = (System.nanoTime() - t0) / 1e9
-      (wall, listener.runTimeMs.get() / 1e3)
+      body
     } finally {
-      CleoJoinHintRule.hint = None
+      CleoJoinHintRule.hint = prevHint
       spark.conf.set("spark.sql.shuffle.partitions", prevParts)
       spark.conf.set("spark.sql.adaptive.enabled", prevAqe)
-      spark.sparkContext.removeSparkListener(listener)
     }
+  }
+
+  /** Runs a query under a configuration ([[withConfig]]); returns (wall
+    * seconds, cpu seconds). The result sink is the noop DSv2 source, so the
+    * full pipeline executes without materialization overhead.
+    */
+  def runOnce(spark: SparkSession, sql: String, cfg: Config): (Double, Double) = {
+    enable(spark)
+    val listener = new TaskTimeListener
+    spark.sparkContext.addSparkListener(listener)
+    try withConfig(spark, cfg) {
+      val t0 = System.nanoTime()
+      spark.sql(sql).write.format("noop").mode("overwrite").save()
+      ((System.nanoTime() - t0) / 1e9, listener.runTimeMs.get() / 1e3)
+    } finally spark.sparkContext.removeSparkListener(listener)
   }
 
   /** Learned per-(query, join-strategy) latency model `t(P) = a + θP/P + θC·P`. */

@@ -10,11 +10,7 @@ class TrainerSpec extends AnyFunSuite {
   private lazy val samples = Logs.samples(WorkloadGen.genJobs(cfg), cfg.gtConfig)
   private lazy val train = samples.filter(_.day <= 2)
   private lazy val test = samples.filter(_.day == 3)
-  private lazy val set = {
-    val indivD1 = Trainer.trainIndividuals(samples.filter(_.day == 1))
-    val stacked = Trainer.withCombined(indivD1, samples.filter(_.day == 2))
-    Trainer.trainIndividuals(train).copy(combined = stacked.combined)
-  }
+  private lazy val set = Trainer.deploy(samples)
 
   test("signatures with fewer than 5 occurrences get no model") {
     val counts = train.groupBy(_.sigSub).view.mapValues(_.size).toMap
@@ -89,14 +85,31 @@ class TrainerSpec extends AnyFunSuite {
     assert(cComb > cDflt + 0.25, s"combined=$cComb default=$cDflt")
   }
 
-  test("spark-parallel training equals local training") {
-    // exercised via the bench suite (shared SparkSession); here check the
-    // local grouping logic is deterministic
-    val a = Trainer.trainFamily(train.take(5000), Family.Input)
-    val b = Trainer.trainFamily(train.take(5000), Family.Input)
-    assert(a.keySet == b.keySet)
-    val k = a.keySet.head
-    assert(a(k).net.weights.sameElements(b(k).net.weights))
+  /** Sequential reference for `trainFamily`: the same groups, each fit one
+    * after another with the same learner and targets.
+    */
+  private def sequentialFamily(ss: Seq[OpSample], family: Family): Map[Long, CostModel] =
+    Trainer.groups(ss, family).map { case (k, arr) =>
+      val ys = arr.map(s => math.log1p(math.max(0.0, s.actual)))
+      k -> CostModel(Trainer.elasticNet.fit(arr.map(_.features), ys), arr.length, ys.min, ys.max)
+    }
+
+  test("parallel training equals a sequential per-group reference") {
+    val parallel = Trainer.trainIndividuals(train)
+    for (f <- Family.all) {
+      val got = parallel.familyMap(f)
+      val want = sequentialFamily(train, f)
+      assert(got.keySet == want.keySet, f.name)
+      want.foreach { case (k, w) =>
+        val g = got(k)
+        // case-class == compares the Array fields by reference
+        assert(g.net.weights.sameElements(w.net.weights), s"${f.name} $k weights")
+        assert(g.net.scaler.mean.sameElements(w.net.scaler.mean), s"${f.name} $k mean")
+        assert(g.net.scaler.std.sameElements(w.net.scaler.std), s"${f.name} $k std")
+        assert(g.net.intercept == w.net.intercept && g.n == w.n && g.zMin == w.zMin && g.zMax == w.zMax,
+          s"${f.name} $k intercept/n/zMin/zMax")
+      }
+    }
   }
 
   test("meta features have the documented shape") {

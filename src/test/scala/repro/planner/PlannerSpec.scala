@@ -95,11 +95,7 @@ class PlannerSpec extends AnyFunSuite {
   private lazy val cfg = WorkloadGen.cluster(4)
   private lazy val runs = WorkloadGen.genJobs(cfg)
   private lazy val samples = Logs.samples(runs, cfg.gtConfig)
-  private lazy val predictor = {
-    val d1 = samples.filter(_.day == 1)
-    val stacked = Trainer.withCombined(Trainer.trainIndividuals(d1), samples.filter(_.day == 2))
-    new CleoPredictor(Trainer.trainIndividuals(samples.filter(_.day <= 2)).copy(combined = stacked.combined))
-  }
+  private lazy val predictor = new CleoPredictor(Trainer.deploy(samples))
   private lazy val templates = WorkloadGen.genTemplates(cfg).map(t => t.id -> t).toMap
   private lazy val c1Roots = WorkloadGen.genJobs(WorkloadGen.cluster(1)).filter(r => r.day == 3 && !r.adhoc).map(_.root)
 

@@ -1,30 +1,32 @@
 package repro.sparkint
 
+import org.apache.spark.sql.catalyst.plans.logical.{SHUFFLE_HASH, SHUFFLE_MERGE}
 import org.apache.spark.sql.execution.joins.{ShuffledHashJoinExec, SortMergeJoinExec}
 import repro.SparkSpec
 
 class CleoCatalystSpec extends SparkSpec {
 
   private lazy val tables = TpchLite.register(spark, 0.005)
+  private def q12 = TpchLite.queries.find(_.name == "Q12").get.sql(1)
 
-  /** Joins in the executed physical plan (AQE disabled so the plan is flat). */
-  private def executedJoins(sql: String): Seq[String] = {
-    val prevAqe = spark.conf.getOption("spark.sql.adaptive.enabled").getOrElse("true")
-    try {
-      spark.conf.set("spark.sql.adaptive.enabled", "false")
+  /** Joins in the executed physical plan under `cfg` (AQE is off there, so
+    * the plan is flat).
+    */
+  private def executedJoins(sql: String, cfg: CleoCatalyst.Config): Seq[String] =
+    CleoCatalyst.withConfig(spark, cfg) {
       val df = spark.sql(sql)
       df.write.format("noop").mode("overwrite").save()
       df.queryExecution.executedPlan.collect {
         case _: SortMergeJoinExec    => "merge"
         case _: ShuffledHashJoinExec => "hash"
       }
-    } finally spark.conf.set("spark.sql.adaptive.enabled", prevAqe)
-  }
+    }
 
   test("without the rule, equi-joins plan as sort-merge (broadcast disabled)") {
     tables // force registration
     CleoCatalyst.disable(spark)
-    val joins = executedJoins(TpchLite.queries.find(_.name == "Q12").get.sql(1))
+    // the hash hint is set but the rule that reads it is not installed
+    val joins = executedJoins(q12, CleoCatalyst.Config("hash", 64))
     assert(joins.nonEmpty && joins.forall(_ == "merge"), joins.toString)
   }
 
@@ -32,13 +34,9 @@ class CleoCatalystSpec extends SparkSpec {
     tables
     CleoCatalyst.enable(spark)
     try {
-      CleoJoinHintRule.hint = Some(org.apache.spark.sql.catalyst.plans.logical.SHUFFLE_HASH)
-      val joins = executedJoins(TpchLite.queries.find(_.name == "Q12").get.sql(1))
+      val joins = executedJoins(q12, CleoCatalyst.Config("hash", 64))
       assert(joins.nonEmpty && joins.forall(_ == "hash"), joins.toString)
-    } finally {
-      CleoJoinHintRule.hint = None
-      CleoCatalyst.disable(spark)
-    }
+    } finally CleoCatalyst.disable(spark)
   }
 
   test("runOnce respects the configured shuffle partition count") {
@@ -55,14 +53,31 @@ class CleoCatalystSpec extends SparkSpec {
     val q = TpchLite.queries.find(_.name == "Q5").get
     def rows(cfg: CleoCatalyst.Config): Set[String] = {
       CleoCatalyst.enable(spark)
-      try {
-        CleoJoinHintRule.hint = Some(cfg.strategyHint)
-        // round revenue: summation order differs between join algorithms
-        spark.sql(q.sql(2)).collect()
-          .map(r => s"${r.get(0)}:${f"${r.getDouble(1)}%.4e"}").toSet
-      } finally CleoJoinHintRule.hint = None
+      // round revenue: summation order differs between join algorithms
+      CleoCatalyst.withConfig(spark, cfg)(spark.sql(q.sql(2)).collect())
+        .map(r => s"${r.get(0)}:${f"${r.getDouble(1)}%.4e"}").toSet
     }
     assert(rows(CleoCatalyst.Config("merge", 8)) == rows(CleoCatalyst.Config("hash", 8)))
+  }
+
+  test("withConfig applies partitions, AQE off and the hint, then restores all three") {
+    def settings = (spark.conf.get("spark.sql.shuffle.partitions"),
+      spark.conf.get("spark.sql.adaptive.enabled"), CleoJoinHintRule.hint)
+    CleoJoinHintRule.hint = Some(SHUFFLE_MERGE)
+    try {
+      val before = settings
+      assert(before == ("64", "true", Some(SHUFFLE_MERGE)))
+      assert(CleoCatalyst.withConfig(spark, CleoCatalyst.Config("hash", 7))(settings) ==
+        ("7", "false", Some(SHUFFLE_HASH)))
+      assert(settings == before)
+      intercept[IllegalStateException] {
+        CleoCatalyst.withConfig(spark, CleoCatalyst.Config("hash", 9)) {
+          assert(settings == ("9", "false", Some(SHUFFLE_HASH)))
+          throw new IllegalStateException("query failed")
+        }
+      }
+      assert(settings == before)
+    } finally CleoJoinHintRule.hint = None
   }
 
   test("partition fit recovers a + θP/P + θC·P") {
