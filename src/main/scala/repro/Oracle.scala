@@ -1,8 +1,10 @@
 package repro
 
+import java.nio.file.{Files, Paths}
 import java.sql.DriverManager
+import org.apache.commons.io.FileUtils
+import org.apache.spark.SparkFiles
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
@@ -10,6 +12,12 @@ import scala.jdk.CollectionConverters._
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
+  *
+  * Each table reaches DuckDB with Spark's column types: Spark writes it as
+  * Parquet into a fresh directory under the session's local directory and
+  * DuckDB reads it through a ``read_parquet`` view, so ``sql`` is plain SQL.
+  * The directory is deleted when the check ends. The master must be local,
+  * so that the files the executors write are readable where the check runs.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -40,23 +48,18 @@ object Oracle {
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    require(sparkDf.sparkSession.sparkContext.isLocal,
+      s"the DuckDB oracle reads Parquet files the executors write, so it needs a local master, " +
+      s"not ${sparkDf.sparkSession.sparkContext.master}")
+    val dir  = Files.createTempDirectory(Paths.get(SparkFiles.getRootDirectory()), "oracle-")
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val path = dir.resolve(name).toString
+        df.write.parquet(path)
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+          s"CREATE VIEW $name AS SELECT * FROM read_parquet('$path/*.parquet')")
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
@@ -78,6 +81,9 @@ object Oracle {
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
-    } finally conn.close()
+    } finally {
+      conn.close()
+      FileUtils.deleteDirectory(dir.toFile)
+    }
   }
 }

@@ -7,7 +7,7 @@ import org.apache.spark.sql.types._
 /** Synthetic OLAP data at a configurable scale factor.
   *
   * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
+  * benchmarks use SF=0.05. Generators are deterministic in (sf, seed) so
   * the DuckDB oracle sees identical input.
   */
 object SynthData {

@@ -46,7 +46,7 @@ object TpchExperiment {
     // identical (small) input, under the same CLEO configuration it was timed
     // with.
     val smallTables = TpchLite.register(spark, oracleSf)
-    val verified = timed.map { o =>
+    timed.map { o =>
       if (!o.changed) o
       else {
         val q = TpchLite.queries.find(_.name == o.query).get
@@ -58,9 +58,6 @@ object TpchExperiment {
         o.copy(verified = true)
       }
     }
-    // restore full-size views for any later bench
-    TpchLite.register(spark, sf)
-    verified
   }
 
   def table(outcomes: Seq[QueryOutcome]): TableResult = {

@@ -2,13 +2,11 @@ package repro.ml
 
 /** Regression loss functions compared in Table 1 of the paper.
   *
-  * Each provides the quantity minimized and a per-sample (sub)gradient weight
-  * used by gradient-descent training: d loss / d residual at `r = pred - y`.
+  * Each provides a per-sample (sub)gradient weight used by gradient-descent
+  * training: d loss / d residual at `r = pred - y`.
   */
 sealed trait Loss extends Serializable {
   def name: String
-  /** Loss over a set of residuals (pred - actual). */
-  def value(residuals: Array[Double]): Double
   /** Per-sample subgradient d loss_i / d r_i (possibly depending on all residuals). */
   def gradients(residuals: Array[Double]): Array[Double]
 }
@@ -18,14 +16,12 @@ object Loss {
   /** Mean squared error in raw space. */
   case object MSE extends Loss {
     val name = "Mean Squared Error"
-    def value(rs: Array[Double]): Double = rs.map(r => r * r).sum / rs.length
     def gradients(rs: Array[Double]): Array[Double] = rs.map(r => 2.0 * r / rs.length)
   }
 
   /** Mean absolute error in raw space. */
   case object MAE extends Loss {
     val name = "Mean Absolute Error"
-    def value(rs: Array[Double]): Double = rs.map(math.abs).sum / rs.length
     def gradients(rs: Array[Double]): Array[Double] = rs.map(r => math.signum(r) / rs.length)
   }
 
@@ -39,12 +35,12 @@ object Loss {
     */
   case object MedAE extends Loss {
     val name = "Median Absolute Error"
-    def value(rs: Array[Double]): Double = {
+    private def medianAbs(rs: Array[Double]): Double = {
       val a = rs.map(math.abs).sorted
       if (a.length % 2 == 1) a(a.length / 2) else (a(a.length / 2 - 1) + a(a.length / 2)) / 2.0
     }
     def gradients(rs: Array[Double]): Array[Double] = {
-      val med = value(rs)
+      val med = medianAbs(rs)
       val band = math.max(1e-9, med * 0.5)
       rs.map { r =>
         val w = math.exp(-math.pow((math.abs(r) - med) / band, 2))
@@ -58,9 +54,6 @@ object Loss {
     */
   case object MSLE extends Loss {
     val name = "Mean Squared-Log Error"
-    def value(rs: Array[Double]): Double = MSE.value(rs)
     def gradients(rs: Array[Double]): Array[Double] = MSE.gradients(rs)
   }
-
-  val all: Seq[Loss] = Seq(MedAE, MAE, MSE, MSLE)
 }

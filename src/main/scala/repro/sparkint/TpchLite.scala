@@ -4,9 +4,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SynthData
 
 /** TPC-H-lite query set for the real-Spark retrofit experiment
-  * (Section 6.6.2 analog). Queries are written in the SQL subset shared by
-  * Spark SQL and DuckDB (explicit casts) so the DuckDB oracle can verify
-  * result equality of CLEO-changed plans on identical input.
+  * (Section 6.6.2 analog). Queries are plain SQL over the typed SynthData
+  * columns, in the subset Spark SQL and DuckDB share, so the DuckDB oracle
+  * can verify result equality of CLEO-changed plans on identical input.
   *
   * Each query is parameterized (dates/type cuts) like the paper's runs with
   * "randomly chosen different parameters".
@@ -31,62 +31,62 @@ object TpchLite {
   val queries: Seq[Query] = Seq(
     Query("Q1", Seq("lineitem"), p => s"""
       SELECT l_returnflag AS rf, l_linestatus AS ls,
-             SUM(CAST(l_quantity AS DOUBLE)) AS sum_qty,
-             SUM(CAST(l_extendedprice AS DOUBLE)) AS sum_price,
-             AVG(CAST(l_discount AS DOUBLE)) AS avg_disc,
+             SUM(l_quantity) AS sum_qty,
+             SUM(l_extendedprice) AS sum_price,
+             AVG(l_discount) AS avg_disc,
              COUNT(*) AS cnt
       FROM lineitem
-      WHERE CAST(l_shipdate AS DATE) <= DATE '${dateCut(p)}'
+      WHERE l_shipdate <= DATE '${dateCut(p)}'
       GROUP BY l_returnflag, l_linestatus"""),
 
     Query("Q3", Seq("customer", "orders", "lineitem"), p => s"""
-      SELECT CAST(o.o_orderkey AS BIGINT) AS okey,
-             SUM(CAST(l.l_extendedprice AS DOUBLE) * (1 - CAST(l.l_discount AS DOUBLE))) AS revenue
+      SELECT o.o_orderkey AS okey,
+             SUM(l.l_extendedprice * (1 - l.l_discount)) AS revenue
       FROM customer c
-      JOIN orders o ON CAST(c.c_custkey AS BIGINT) = CAST(o.o_custkey AS BIGINT)
-      JOIN lineitem l ON CAST(l.l_orderkey AS BIGINT) = CAST(o.o_orderkey AS BIGINT)
+      JOIN orders o ON c.c_custkey = o.o_custkey
+      JOIN lineitem l ON l.l_orderkey = o.o_orderkey
       WHERE c.c_mktsegment = '${segment(p)}'
-        AND CAST(o.o_orderdate AS DATE) < DATE '${dateCut(p)}'
-        AND CAST(l.l_shipdate AS DATE) > DATE '${dateLo(p)}'
+        AND o.o_orderdate < DATE '${dateCut(p)}'
+        AND l.l_shipdate > DATE '${dateLo(p)}'
       GROUP BY o.o_orderkey"""),
 
     Query("Q5", Seq("customer", "orders", "lineitem"), p => s"""
-      SELECT CAST(c.c_nationkey AS INT) AS nk,
-             SUM(CAST(l.l_extendedprice AS DOUBLE) * (1 - CAST(l.l_discount AS DOUBLE))) AS revenue
+      SELECT c.c_nationkey AS nk,
+             SUM(l.l_extendedprice * (1 - l.l_discount)) AS revenue
       FROM customer c
-      JOIN orders o ON CAST(c.c_custkey AS BIGINT) = CAST(o.o_custkey AS BIGINT)
-      JOIN lineitem l ON CAST(l.l_orderkey AS BIGINT) = CAST(o.o_orderkey AS BIGINT)
-      WHERE CAST(o.o_orderdate AS DATE) >= DATE '${dateLo(p)}'
-        AND CAST(o.o_orderdate AS DATE) < DATE '${dateCut(p)}'
+      JOIN orders o ON c.c_custkey = o.o_custkey
+      JOIN lineitem l ON l.l_orderkey = o.o_orderkey
+      WHERE o.o_orderdate >= DATE '${dateLo(p)}'
+        AND o.o_orderdate < DATE '${dateCut(p)}'
       GROUP BY c.c_nationkey"""),
 
     Query("Q8", Seq("part", "lineitem", "orders"), p => s"""
-      SELECT YEAR(CAST(o.o_orderdate AS DATE)) AS oy,
-             SUM(CAST(l.l_extendedprice AS DOUBLE) * (1 - CAST(l.l_discount AS DOUBLE))) AS revenue
+      SELECT YEAR(o.o_orderdate) AS oy,
+             SUM(l.l_extendedprice * (1 - l.l_discount)) AS revenue
       FROM part pt
-      JOIN lineitem l ON CAST(pt.p_partkey AS BIGINT) = CAST(l.l_partkey AS BIGINT)
-      JOIN orders o ON CAST(l.l_orderkey AS BIGINT) = CAST(o.o_orderkey AS BIGINT)
+      JOIN lineitem l ON pt.p_partkey = l.l_partkey
+      JOIN orders o ON l.l_orderkey = o.o_orderkey
       WHERE pt.p_type = '${ptype(p)}'
-      GROUP BY YEAR(CAST(o.o_orderdate AS DATE))"""),
+      GROUP BY YEAR(o.o_orderdate)"""),
 
     Query("Q12", Seq("orders", "lineitem"), p => s"""
       SELECT l.l_linestatus AS ls, COUNT(*) AS cnt,
-             SUM(CAST(o.o_totalprice AS DOUBLE)) AS total
+             SUM(o.o_totalprice) AS total
       FROM orders o
-      JOIN lineitem l ON CAST(o.o_orderkey AS BIGINT) = CAST(l.l_orderkey AS BIGINT)
-      WHERE CAST(l.l_shipdate AS DATE) >= DATE '${dateLo(p)}'
-        AND CAST(l.l_shipdate AS DATE) < DATE '${dateCut(p)}'
+      JOIN lineitem l ON o.o_orderkey = l.l_orderkey
+      WHERE l.l_shipdate >= DATE '${dateLo(p)}'
+        AND l.l_shipdate < DATE '${dateCut(p)}'
       GROUP BY l.l_linestatus"""),
 
     Query("Q14", Seq("lineitem", "part"), p => s"""
       SELECT SUM(CASE WHEN pt.p_type = 'PROMO'
-                      THEN CAST(l.l_extendedprice AS DOUBLE) * (1 - CAST(l.l_discount AS DOUBLE))
+                      THEN l.l_extendedprice * (1 - l.l_discount)
                       ELSE 0.0 END) AS promo,
-             SUM(CAST(l.l_extendedprice AS DOUBLE) * (1 - CAST(l.l_discount AS DOUBLE))) AS total
+             SUM(l.l_extendedprice * (1 - l.l_discount)) AS total
       FROM lineitem l
-      JOIN part pt ON CAST(l.l_partkey AS BIGINT) = CAST(pt.p_partkey AS BIGINT)
-      WHERE CAST(l.l_shipdate AS DATE) >= DATE '${dateLo(p)}'
-        AND CAST(l.l_shipdate AS DATE) < DATE '${dateCut(p)}'"""),
+      JOIN part pt ON l.l_partkey = pt.p_partkey
+      WHERE l.l_shipdate >= DATE '${dateLo(p)}'
+        AND l.l_shipdate < DATE '${dateCut(p)}'"""),
   )
 
   /** Generates and registers the TPC-H-lite tables as cached temp views. */
