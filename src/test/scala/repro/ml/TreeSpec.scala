@@ -104,3 +104,56 @@ class TreeSpec extends AnyFunSuite {
     assert(sse(RandomForest(nTrees = 20, maxDepth = 5)) < sse(RegressionTree(maxDepth = 1)))
   }
 }
+
+class TreeDegenerateSpec extends AnyFunSuite {
+  import RegressionTree.{Leaf, Split}
+
+  private def root(xs: Array[Array[Double]], ys: Array[Double], t: RegressionTree = RegressionTree()) =
+    t.fit(xs, ys).root
+
+  test("constant features give one leaf at the mean") {
+    val xs = Array.fill(50)(Array(3.0, -1.0))
+    val ys = Array.tabulate(50)(i => i.toDouble)
+    assert(root(xs, ys) == Leaf(ys.sum / ys.length))
+  }
+
+  test("equal targets give one leaf at that target") {
+    val rng = new scala.util.Random(12)
+    val xs = Array.fill(50)(Array(rng.nextDouble(), rng.nextDouble()))
+    assert(root(xs, Array.fill(50)(2.5)) == Leaf(2.5))
+  }
+
+  test("a node with fewer than 2·minLeaf rows is a leaf") {
+    val xs = Array.tabulate(7)(i => Array(i.toDouble))
+    val ys = Array.tabulate(7)(i => if (i < 3) 0.0 else 1.0)
+    assert(root(xs, ys, RegressionTree(minLeaf = 4)) == Leaf(ys.sum / ys.length))
+  }
+
+  test("a single row is a leaf at its target") {
+    assert(root(Array(Array(1.0, 2.0)), Array(7.0)) == Leaf(7.0))
+  }
+
+  test("a two-valued column splits between its values") {
+    val xs = Array.tabulate(40)(i => Array((i % 2).toDouble))
+    val ys = xs.map(x => 10.0 * x(0) + 1.0)
+    assert(root(xs, ys) == Split(0, 0.0, Leaf(1.0), Leaf(11.0)))
+  }
+
+  test("identical columns split on the lower feature index") {
+    val rng = new scala.util.Random(13)
+    val xs = Array.fill(200) { val v = rng.nextDouble(); Array(rng.nextDouble(), v, v) }
+    val ys = xs.map(x => if (x(1) < 0.5) 0.0 else 1.0)
+    root(xs, ys, RegressionTree(maxDepth = 1)) match {
+      case Split(f, _, Leaf(l), Leaf(r)) => assert(f == 1 && l < r)
+      case other                         => fail(s"expected one split, got $other")
+    }
+  }
+
+  test("ensembles over constant features or a single row predict the mean") {
+    val xs = Array.fill(30)(Array(1.0, 1.0))
+    val ys = Array.fill(30)(4.0)
+    assert(RandomForest(nTrees = 3).fit(xs, ys).predict(xs(0)) == 4.0)
+    assert(FastTree(nTrees = 3).fit(xs, ys).predict(xs(0)) == 4.0)
+    assert(FastTree(nTrees = 3).fit(Array(Array(0.0)), Array(1.0)).predict(Array(0.0)) == 1.0)
+  }
+}
