@@ -63,15 +63,10 @@ object CardLearner {
     else PoissonModel(w)
   }
 
-  /** Trained corrector: per-subgraph models for output and input cards, with
-    * per-operator fallbacks (CardLearner covers strict subgraphs only; the
-    * fallback keeps the comparison total).
-    */
+  /** Trained corrector: per-subgraph models for output and input cards. */
   final case class Model(
       outBySig: Map[Long, PoissonModel],
       inBySig: Map[Long, PoissonModel],
-      outByOp: Map[Long, PoissonModel],
-      inByOp: Map[Long, PoissonModel],
   ) extends Serializable {
 
     /** Corrections are clamped to a 6× band around the original estimate —
@@ -95,16 +90,14 @@ object CardLearner {
     }
   }
 
-  def train(samples: Seq[OpSample], minN: Int = 5): Model = {
-    def fitMap(key: OpSample => Long, rows: OpSample => (Double, Double, Double)): Map[Long, PoissonModel] =
-      samples.groupBy(key).collect {
-        case (k, ss) if ss.size >= minN => k -> fitPoisson(ss.map(rows))
+  def train(samples: Seq[OpSample]): Model = {
+    def fitMap(rows: OpSample => (Double, Double, Double)): Map[Long, PoissonModel] =
+      samples.groupBy(_.sigSub).collect {
+        case (k, ss) if ss.size >= Trainer.MinOccurrences => k -> fitPoisson(ss.map(rows))
       }
     Model(
-      outBySig = fitMap(_.sigSub, s => (s.trueC, s.stats.c, s.stats.i)),
-      inBySig = fitMap(_.sigSub, s => (s.trueI, s.stats.i, s.stats.b)),
-      outByOp = fitMap(_.sigOperator, s => (s.trueC, s.stats.c, s.stats.i)),
-      inByOp = fitMap(_.sigOperator, s => (s.trueI, s.stats.i, s.stats.b)),
+      outBySig = fitMap(s => (s.trueC, s.stats.c, s.stats.i)),
+      inBySig = fitMap(s => (s.trueI, s.stats.i, s.stats.b)),
     )
   }
 }

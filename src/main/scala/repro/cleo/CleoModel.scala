@@ -44,28 +44,24 @@ final case class CostModel(net: ElasticNetModel, n: Int, zMin: Double, zMax: Dou
   }
 }
 
-/** The full CLEO model bundle: four signature-keyed model maps plus the
-  * combined FastTree meta-model (Section 4.3).
+/** The full CLEO model bundle: one signature-keyed model map per family plus
+  * the combined FastTree meta-model (Section 4.3).
   */
 final case class CleoModelSet(
-    sub: Map[Long, CostModel],
-    approx: Map[Long, CostModel],
-    input: Map[Long, CostModel],
-    operator: Map[Long, CostModel],
+    models: Map[Family, Map[Long, CostModel]],
     combined: Option[Regressor],
 ) extends Serializable {
 
-  def familyMap(f: Family): Map[Long, CostModel] = f match {
-    case Family.Subgraph => sub
-    case Family.Approx   => approx
-    case Family.Input    => input
-    case Family.Operator => operator
-  }
+  def familyMap(f: Family): Map[Long, CostModel] = models(f)
 
   def covers(f: Family, s: OpSample): Boolean = familyMap(f).contains(f.key(s))
 
   def predictFamily(f: Family, s: OpSample): Option[Double] =
     familyMap(f).get(f.key(s)).map(_.predictCost(s.features))
+
+  /** The most specialized individual model covering `s`, if any. */
+  def modelFor(s: OpSample): Option[CostModel] =
+    Family.all.iterator.flatMap(f => familyMap(f).get(f.key(s))).nextOption()
 
   /** Meta-features of the combined model: the individual predictions (log
     * scale) with presence indicators, plus cardinalities, per-partition
@@ -93,8 +89,7 @@ final case class CleoModelSet(
     */
   def predict(s: OpSample): Double = combined match {
     case Some(meta) => math.max(0.0, meta.predict(metaFeatures(s)))
-    case None =>
-      Family.all.iterator.flatMap(predictFamily(_, s)).toSeq.headOption.getOrElse(0.0)
+    case None       => modelFor(s).map(_.predictCost(s.features)).getOrElse(0.0)
   }
 }
 
@@ -119,7 +114,7 @@ class CleoPredictor(val set: CleoModelSet) extends Serializable {
   def jobCost(root: Phys): Double = root.allNodes.map(exclusiveCost).sum
 
   /** Most specialized individual model covering this operator, if any. */
-  def individualModel(n: Phys): Option[CostModel] = modelFor(asSample(n))
+  def individualModel(n: Phys): Option[CostModel] = set.modelFor(asSample(n))
 
   /** (θP, θC) for partition exploration from the most specialized covering
     * individual model (falls back to the operator model, which always exists
@@ -136,10 +131,7 @@ class CleoPredictor(val set: CleoModelSet) extends Serializable {
   protected def costOf(s: OpSample): Double = set.predict(s)
 
   protected def thetaOf(s: OpSample): (Double, Double) =
-    modelFor(s).map(_.theta(s.stats)).getOrElse((0.0, 0.0))
-
-  private def modelFor(s: OpSample): Option[CostModel] =
-    Family.all.iterator.flatMap(f => set.familyMap(f).get(f.key(s))).nextOption()
+    set.modelFor(s).map(_.theta(s.stats)).getOrElse((0.0, 0.0))
 }
 
 object CleoPredictor {

@@ -41,13 +41,7 @@ object Trainer {
 
   /** Trains the four individual families (no combined model yet). */
   def trainIndividuals(samples: Seq[OpSample]): CleoModelSet =
-    CleoModelSet(
-      sub = trainFamily(samples, Family.Subgraph),
-      approx = trainFamily(samples, Family.Approx),
-      input = trainFamily(samples, Family.Input),
-      operator = trainFamily(samples, Family.Operator),
-      combined = None,
-    )
+    CleoModelSet(Family.all.map(f => f -> trainFamily(samples, f)).toMap, combined = None)
 
   /** Trains the FastTree meta-model on `metaSamples` (a day held out from the
     * individual models' training window, Section 5.1) and returns the full set.

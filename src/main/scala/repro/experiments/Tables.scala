@@ -1,6 +1,7 @@
 package repro.experiments
 
 import repro.cleo.{CardLearner, CleoModelSet, Family, Trainer => CleoTrainer}
+import repro.core.Features
 import repro.ml.{CrossValidation, ElasticNet, FastTree, LogSpaceTrainer, Loss, MLP, Metrics,
   RandomForest, RegressionTree, Trainer => MlTrainer}
 import repro.planner._
@@ -29,6 +30,24 @@ final case class TableResult(
 
 /** Builders for every reproduced table (see DESIGN.md §4 for the index). */
 object Tables {
+
+  /** Every simulator table by name, in paper order; `repro.jobs.Run <name>`
+    * prints them. §6.6.2 is not here: it needs a SparkSession (`TpchJob`).
+    */
+  val all: Seq[(String, () => TableResult)] = Seq(
+    "table1" -> table1 _,
+    "table4" -> table4 _,
+    "table5" -> table5 _,
+    "table6" -> table6 _,
+    "table7" -> table7 _,
+    "table8" -> table8 _,
+    "workload" -> workloadSummary _,
+    "cardlearner" -> cardLearner _,
+    "partitions" -> partitionExploration _,
+    "plans" -> planPerformance _,
+    "overheads" -> overheads _,
+    "weights" -> featureWeights _,
+  )
 
   private def f1(v: Double): String = f"$v%.1f"
   private def f2(v: Double): String = f"$v%.2f"
@@ -269,7 +288,6 @@ object Tables {
   /** Partition-exploration accuracy vs efficiency (Figure 17 + 8c numbers). */
   def partitionExploration(): TableResult = {
     val pred = Workloads.predictor(1)
-    val pMax = DefaultPartitioner.MaxPartitions
     // Stage instances whose learned cost curve has an interior optimum — a
     // curve that is monotone all the way to a boundary makes every strategy
     // trivially optimal (just probe the endpoint) and says nothing about
@@ -281,12 +299,12 @@ object Tables {
         .map(_.flatMap(n => pred.individualModel(n).map(m => PartitionExplorer.StageOp(m, n.stats))))
         .filter(_.nonEmpty)
         .filter { s =>
-          val opt = PartitionExplorer.exhaustive(s, pMax)
-          opt > 1 && opt < pMax
+          val opt = PartitionExplorer.exhaustive(s)
+          opt > 1 && opt < DefaultPartitioner.MaxPartitions
         }
         .take(200)
 
-    val optima = stages.map(s => PartitionExplorer.stageCost(s, PartitionExplorer.exhaustive(s, pMax)))
+    val optima = stages.map(s => PartitionExplorer.stageCost(s, PartitionExplorer.exhaustive(s)))
 
     def subopt(chosen: Seq[Int]): Double = {
       val errs = stages.zip(chosen).zip(optima).map { case ((s, p), copt) =>
@@ -299,14 +317,14 @@ object Tables {
     val ks = Seq(2, 4, 6, 8, 12, 16, 20, 28, 40)
     val rows = ks.map { k =>
       val rand = subopt(stages.zipWithIndex.map { case (s, i) =>
-        PartitionExplorer.bestOf(s, PartitionExplorer.randomCandidates(k, seed = 1000 + i, pMax)) })
+        PartitionExplorer.bestOf(s, PartitionExplorer.randomCandidates(k, seed = 1000 + i)) })
       val unif = subopt(stages.map(s =>
-        PartitionExplorer.bestOf(s, PartitionExplorer.uniformCandidates(k, pMax))))
+        PartitionExplorer.bestOf(s, PartitionExplorer.uniformCandidates(k))))
       val geom = subopt(stages.map(s =>
-        PartitionExplorer.bestOf(s, PartitionExplorer.geometricCandidatesOfSize(k, pMax))))
+        PartitionExplorer.bestOf(s, PartitionExplorer.geometricCandidatesOfSize(k))))
       Seq(k.toString, f1(rand) + "%", f1(unif) + "%", f1(geom) + "%", (5 * 10 * k).toString)
     }
-    val analytical = subopt(stages.map(s => PartitionExplorer.analytical(s, pMax)))
+    val analytical = subopt(stages.map(s => PartitionExplorer.analytical(s)))
     val aRow = Seq("analytical", "-", "-", f1(analytical) + "%", (5 * 10).toString)
     TableResult("§6.5 — partition exploration: median cost suboptimality vs samples",
       Seq("#samples", "random", "uniform", "geometric", "model lookups (10-op plan)"),
@@ -395,7 +413,7 @@ object Tables {
     val t0 = System.nanoTime()
     val set = CleoTrainer.deploy(ss)
     val trainSecs = (System.nanoTime() - t0) / 1e9
-    val nModels = set.sub.size + set.approx.size + set.input.size + set.operator.size
+    val nModels = Family.all.map(set.familyMap(_).size).sum
     // Java-serialized size of cluster 4's deployed bundle (individual and
     // combined models), as perfbench's cleo.model_mb measures it.
     val memMb = {
@@ -431,5 +449,21 @@ object Tables {
       Seq("The paper reports a 5-10% optimizer-time overhead on SCOPE, where costing is",
         "a small fraction of optimization; our default coster is near-free arithmetic,",
         "so the comparable bound is the absolute per-job CLEO costing time."))
+  }
+
+  // ------------------------------------------------------- Figures 5/6 analog
+
+  /** Feature weights (Figure 5 analog, Tables 2–3 as code): each feature's
+    * share of the summed |weight| over cluster 1's op-subgraph models.
+    */
+  def featureWeights(): TableResult = {
+    val nets = Workloads.trained(1).familyMap(Family.Subgraph).values.map(_.net).toSeq
+    val sums = Array.tabulate(Features.dim)(j => nets.map(m => math.abs(m.weights(j))).sum)
+    val total = sums.sum
+    val rows = Features.names.zip(sums)
+      .sortBy(-_._2)
+      .map { case (n, w) => Seq(n, f"${100.0 * w / math.max(1e-12, total)}%.2f%%") }
+    TableResult("Figure 5 analog — aggregate normalized |weight| per feature (op-subgraph)",
+      Seq("Feature", "normalized weight"), rows)
   }
 }

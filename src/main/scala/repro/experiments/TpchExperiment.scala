@@ -23,7 +23,10 @@ object TpchExperiment {
   private def minOf2(spark: SparkSession, sql: String, cfg: CleoCatalyst.Config): Double =
     (1 to 2).map(_ => CleoCatalyst.runOnce(spark, sql, cfg)._1).min
 
-  def run(spark: SparkSession, sf: Double, oracleSf: Double, defaultPartitions: Int = 64): Seq[QueryOutcome] = {
+  /** The fixed shuffle partition count of the default plans. */
+  private val DefaultPartitions = 64
+
+  def run(spark: SparkSession, sf: Double, oracleSf: Double): Seq[QueryOutcome] = {
     TpchLite.register(spark, sf)
     // warm-up (JIT + codegen caches)
     CleoCatalyst.runOnce(spark, TpchLite.queries.head.sql(0), CleoCatalyst.Config("default", 16))
@@ -35,10 +38,10 @@ object TpchExperiment {
     val evalParam = 3 // unseen parameter draw, like the paper's re-run
     val timed = TpchLite.queries.map { q =>
       val sql = q.sql(evalParam)
-      val dflt = minOf2(spark, sql, CleoCatalyst.Config("default", defaultPartitions))
+      val dflt = minOf2(spark, sql, CleoCatalyst.Config("default", DefaultPartitions))
       val chosen = byName(q.name).cfg
       val cleo = minOf2(spark, sql, chosen)
-      val changed = chosen.join == "hash" || chosen.partitions != defaultPartitions
+      val changed = chosen.join == "hash" || chosen.partitions != DefaultPartitions
       QueryOutcome(q.name, chosen, dflt, cleo, changed, verified = false)
     }
 

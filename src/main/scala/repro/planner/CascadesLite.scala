@@ -71,18 +71,15 @@ object CascadesLite {
 
   final case class Planned(root: Phys, choices: Map[Int, PhysOp], cost: Double)
 
+  /** Choice points enumerated per job; any beyond keep the template's choice. */
+  private val MaxChoicePoints = 7
+
   /** Optimizes one job instance: enumerates implementation combinations,
     * realizes each (required properties inserting Sort/Exchange), applies the
     * coster's partition tuning, and returns the cheapest candidate.
     */
-  def optimize(
-      template: JobTemplate,
-      cards: Map[Int, NodeCard],
-      param: Double,
-      coster: Coster,
-      maxChoicePoints: Int = 7,
-  ): Planned = {
-    val (points, beyond) = choicePoints(template.root).splitAt(maxChoicePoints)
+  def optimize(template: JobTemplate, cards: Map[Int, NodeCard], param: Double, coster: Coster): Planned = {
+    val (points, beyond) = choicePoints(template.root).splitAt(MaxChoicePoints)
     val fixed = beyond.map { case (id, alts) => id -> template.physChoices.getOrElse(id, alts.head) }.toMap
 
     def combos(ps: List[(Int, Seq[PhysOp])]): Seq[Map[Int, PhysOp]] = ps match {

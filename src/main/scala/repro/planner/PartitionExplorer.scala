@@ -21,35 +21,35 @@ object PartitionExplorer {
     ops.map(o => o.model.predictCost(repro.core.Features.vector(o.stats.withPartitions(p)))).sum
 
   /** Exhaustive scan — the reference optimum (1..Pmax model probes). */
-  def exhaustive(ops: Seq[StageOp], pMax: Int = MaxPartitions): Int =
-    (1 to pMax).minBy(stageCost(ops, _))
+  def exhaustive(ops: Seq[StageOp]): Int =
+    (1 to MaxPartitions).minBy(stageCost(ops, _))
 
   def bestOf(ops: Seq[StageOp], candidates: Seq[Int]): Int =
     candidates.distinct.filter(p => p >= 1 && p <= MaxPartitions).minBy(stageCost(ops, _))
 
-  def randomCandidates(k: Int, seed: Long, pMax: Int = MaxPartitions): Seq[Int] = {
+  def randomCandidates(k: Int, seed: Long): Seq[Int] = {
     val rng = new scala.util.Random(seed)
-    Seq.fill(k)(1 + rng.nextInt(pMax))
+    Seq.fill(k)(1 + rng.nextInt(MaxPartitions))
   }
 
-  def uniformCandidates(k: Int, pMax: Int = MaxPartitions): Seq[Int] =
-    (1 to k).map(i => math.max(1, math.round(i * pMax.toDouble / k).toInt))
+  def uniformCandidates(k: Int): Seq[Int] =
+    (1 to k).map(i => math.max(1, math.round(i * MaxPartitions.toDouble / k).toInt))
 
   /** Geometrically increasing samples: x_{i+1} = ceil(x_i + x_i / s), with
     * x_0 = 1, x_1 = 2 (Section 5.3). `s` is the skipping coefficient.
     */
-  def geometricCandidates(s: Double, pMax: Int = MaxPartitions): Seq[Int] = {
+  def geometricCandidates(s: Double): Seq[Int] = {
     val buf = scala.collection.mutable.ArrayBuffer(1, 2)
-    while (buf.last < pMax) buf += math.min(pMax, math.ceil(buf.last + buf.last / s).toInt)
+    while (buf.last < MaxPartitions) buf += math.min(MaxPartitions, math.ceil(buf.last + buf.last / s).toInt)
     buf.toSeq.distinct
   }
 
-  /** Geometric candidates tuned to yield approximately `k` samples over pMax. */
-  def geometricCandidatesOfSize(k: Int, pMax: Int = MaxPartitions): Seq[Int] = {
-    // ratio r = (1 + 1/s); k steps from 1 to pMax → r = pMax^(1/k)
-    val r = math.pow(pMax.toDouble, 1.0 / math.max(1, k))
+  /** Geometric candidates tuned to yield approximately `k` samples up to MaxPartitions. */
+  def geometricCandidatesOfSize(k: Int): Seq[Int] = {
+    // ratio r = (1 + 1/s); k steps from 1 to MaxPartitions → r = MaxPartitions^(1/k)
+    val r = math.pow(MaxPartitions.toDouble, 1.0 / math.max(1, k))
     val s = 1.0 / math.max(1e-6, r - 1.0)
-    geometricCandidates(s, pMax)
+    geometricCandidates(s)
   }
 
   /** The closed-form minimum of `θP/P + θC·P` over `[lo, hi]`, rounded to a
@@ -71,16 +71,16 @@ object PartitionExplorer {
     * optimum — models trained at one operating point cannot be trusted to
     * extrapolate to arbitrary partition counts.
     */
-  def withinBand(thetaP: Double, thetaC: Double, cur: Int, pMax: Int): Int =
-    if (thetaP > 0 && thetaC > 0) optimum(thetaP, thetaC, math.max(1.0, cur / 8.0), math.min(pMax.toDouble, cur * 8.0))
+  def withinBand(thetaP: Double, thetaC: Double, cur: Int): Int =
+    if (thetaP > 0 && thetaC > 0) optimum(thetaP, thetaC, math.max(1.0, cur / 8.0), math.min(MaxPartitions.toDouble, cur * 8.0))
     else cur
 
   /** Analytical strategy applied to a stage: probe-fitted θ from each
     * member's model, summed, then [[withinBand]] of the members' current count.
     */
-  def analytical(ops: Seq[StageOp], pMax: Int = MaxPartitions): Int = {
+  def analytical(ops: Seq[StageOp]): Int = {
     val thetas = ops.map(o => o.model.theta(o.stats))
     val cur = ops.map(_.stats.p).max.toInt
-    math.max(1, math.min(pMax, withinBand(thetas.map(_._1).sum, thetas.map(_._2).sum, cur, pMax)))
+    math.max(1, math.min(MaxPartitions, withinBand(thetas.map(_._1).sum, thetas.map(_._2).sum, cur)))
   }
 }

@@ -1,7 +1,7 @@
 package repro.planner
 
 import repro.cleo.CleoPredictor
-import repro.scopesim.{DefaultPartitioner, Phys, PhysOp}
+import repro.scopesim.{Phys, PhysOp}
 
 /** The paper's resource-aware planning extensions (Section 5.2): a
   * resource-context accumulates each stage member's (θP, θC) during
@@ -71,7 +71,7 @@ object PartitionOptimizer {
     * already partitioned on the same key at a near-identical count — the
     * paper's "skipping shuffle operators" plan change).
     */
-  def optimize(root: Phys, predictor: CleoPredictor, pMax: Int = DefaultPartitioner.MaxPartitions): Phys = {
+  def optimize(root: Phys, predictor: CleoPredictor): Phys = {
     val st = new Stages(root)
 
     // Resource-context: per-class θ sums, and each class's current count
@@ -89,7 +89,7 @@ object PartitionOptimizer {
     }
 
     // Partition optimization per class (Figure 8a, step 9).
-    val pStar = Array.tabulate(st.classes)(k => PartitionExplorer.withinBand(thetaP(k), thetaC(k), current(k), pMax))
+    val pStar = Array.tabulate(st.classes)(k => PartitionExplorer.withinBand(thetaP(k), thetaC(k), current(k)))
 
     // Rebuild in the same post-order: setters adopt their class optimum,
     // everything else derives its first child's count (Figure 8a, step 8).

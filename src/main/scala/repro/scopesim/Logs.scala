@@ -24,7 +24,7 @@ final case class OpSample(
 ) {
   def features: Array[Double] = Features.vector(stats)
   /** Kept once per sample: every prediction keys the operator family by it. */
-  lazy val sigOperator: Long = Determ.hashStr("op:" + op)
+  lazy val sigOperator: Long = Signatures.operator(op)
 }
 
 /** Extracts per-operator log records from executed jobs. */

@@ -32,9 +32,6 @@ final case class LogicalNode(id: Int, op: LogicalOp, children: Vector[LogicalNod
 
   /** Number of logical operators in this subtree (the CL feature). */
   def size: Int = 1 + children.map(_.size).sum
-
-  def find(nodeId: Int): Option[LogicalNode] =
-    if (id == nodeId) Some(this) else children.flatMap(_.find(nodeId)).headOption
 }
 
 /** A recurring job template: a logical plan plus the physical implementation

@@ -25,8 +25,8 @@ object Signatures {
   /** Operator-input: root physical operator + normalized input templates. */
   def inputSig(n: Phys): Long = n.carried.input
 
-  /** Operator: one model per physical operator — full coverage, least context. */
-  def operator(n: Phys): Long = Determ.hashStr("op:" + n.op.name)
+  /** Operator: one model per physical operator name — full coverage, least context. */
+  def operator(opName: String): Long = Determ.hashStr("op:" + opName)
 
   // Sort/Exchange are property enforcers chosen by the optimizer, not part
   // of the job's logical shape — excluding them lets the approx key merge

@@ -249,13 +249,13 @@ object WorkloadGen {
 
   // ------------------------------------------------------------------ jobs
 
-  /** Generates all job runs of a cluster over `days` days (recurring + ad-hoc). */
-  def genJobs(cfg: ClusterConfig, days: Int = 3): Vector[JobRun] = {
+  /** Generates all job runs of a cluster over three days (recurring + ad-hoc). */
+  def genJobs(cfg: ClusterConfig): Vector[JobRun] = {
     val templates = genTemplates(cfg)
     val out = ArrayBuffer.empty[JobRun]
     var jobId = cfg.id * 10000000L
 
-    for (day <- 1 to days) {
+    for (day <- 1 to 3) {
       var recurringToday = 0
       for (t <- templates) {
         val n = instancesPerDay(cfg, t)

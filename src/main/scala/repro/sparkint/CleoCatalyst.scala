@@ -118,14 +118,12 @@ object CleoCatalyst {
     */
   final case class Decision(query: String, cfg: Config, predicted: Double)
 
-  def decide(
-      spark: SparkSession,
-      queries: Seq[TpchLite.Query],
-      params: Seq[Int],
-      pGrid: Seq[Int],
-      pMin: Int = 2,
-      pMax: Int = 256,
-  ): (Seq[Decision], Map[(String, String), PartitionFit]) = {
+  /** The bounds of the shuffle partition count a decision may choose. */
+  private val PMin = 2
+  private val PMax = 256
+
+  def decide(spark: SparkSession, queries: Seq[TpchLite.Query], params: Seq[Int], pGrid: Seq[Int])
+      : (Seq[Decision], Map[(String, String), PartitionFit]) = {
     val fits = scala.collection.mutable.Map.empty[(String, String), PartitionFit]
     val decisions = queries.map { q =>
       val perJoin = Seq("merge", "hash").flatMap { join =>
@@ -135,7 +133,7 @@ object CleoCatalyst {
         }
         fitPartitionModel(obs).map { fit =>
           fits((q.name, join)) = fit
-          val pStar = fit.optimum(pMin, pMax)
+          val pStar = fit.optimum(PMin, PMax)
           Decision(q.name, Config(join, pStar), fit.predict(pStar))
         }
       }

@@ -52,12 +52,12 @@ class PartitionExplorerSpec extends AnyFunSuite {
   }
 
   test("the ±8× band clamps the optimum and keeps the count without an interior optimum") {
-    assert(withinBand(400.0, 1.0, 16, MaxPartitions) == 20)
-    assert(withinBand(1e12, 1e-9, 16, MaxPartitions) == 128)
-    assert(withinBand(1e12, 1e-9, 1000, MaxPartitions) == MaxPartitions)
-    assert(withinBand(0.0001, 1e9, 16, MaxPartitions) == 2)
-    assert(withinBand(-10.0, 2.0, 16, MaxPartitions) == 16)
-    assert(withinBand(10.0, 0.0, 16, MaxPartitions) == 16)
+    assert(withinBand(400.0, 1.0, 16) == 20)
+    assert(withinBand(1e12, 1e-9, 16) == 128)
+    assert(withinBand(1e12, 1e-9, 1000) == MaxPartitions)
+    assert(withinBand(0.0001, 1e9, 16) == 2)
+    assert(withinBand(-10.0, 2.0, 16) == 16)
+    assert(withinBand(10.0, 0.0, 16) == 16)
   }
 
   test("geometric sequence starts 1,2 and grows by ~1/s") {

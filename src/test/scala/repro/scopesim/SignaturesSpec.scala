@@ -70,7 +70,7 @@ class SignaturesSpec extends AnyFunSuite {
     val nSub = countKeys(Signatures.subgraph)
     val nApprox = countKeys(Signatures.approx)
     val nInput = countKeys(Signatures.inputSig)
-    val nOp = countKeys(Signatures.operator)
+    val nOp = countKeys(n => Signatures.operator(n.op.name))
     assert(nSub >= nApprox && nApprox >= nInput && nInput >= nOp, s"$nSub/$nApprox/$nInput/$nOp")
     assert(nOp <= PhysOp.all.size)
   }
@@ -100,8 +100,9 @@ class SignaturesSpec extends AnyFunSuite {
     val nodes = runs.take(100).flatMap(_.root.allNodes)
     val groups = nodes.groupBy(_.op.name)
     groups.foreach { case (_, ns) =>
-      assert(ns.map(Signatures.operator).distinct.size == 1)
+      assert(ns.map(n => Signatures.operator(n.op.name)).distinct.size == 1)
     }
+    assert(groups.keys.map(Signatures.operator).size == groups.size, "operators must not share a signature")
   }
 
   test("input signature ignores the subgraph shape but keeps the inputs") {
