@@ -14,7 +14,7 @@ import repro.scopesim.{DefaultPartitioner, OpSample, Phys, Signatures}
   * drifted inputs, which would let a handful of runaway predictions dominate
   * Pearson correlation.
   */
-final case class CostModel(net: ElasticNetModel, n: Int, zMin: Double, zMax: Double)
+final case class CostModel(net: ElasticNetModel, zMin: Double, zMax: Double)
     extends Serializable {
   def predictCost(x: Array[Double]): Double = LogSpaceTrainer.fromLog(net.predict(x), zMin, zMax)
 

@@ -29,7 +29,7 @@ object Trainer {
   private def fitOne(ss: Array[OpSample]): CostModel = {
     val xs = ss.map(_.features)
     val ys = ss.map(s => math.log1p(math.max(0.0, s.actual)))
-    CostModel(elasticNet.fit(xs, ys), ss.length, ys.min, ys.max)
+    CostModel(elasticNet.fit(xs, ys), ys.min, ys.max)
   }
 
   /** Trains one family's model map. Each signature's model depends only on

@@ -2,7 +2,7 @@ package repro.experiments
 
 import repro.cleo.{CardLearner, CleoModelSet, Family, Trainer => CleoTrainer}
 import repro.core.Features
-import repro.ml.{CrossValidation, ElasticNet, FastTree, LogSpaceTrainer, Loss, MLP, Metrics,
+import repro.ml.{CrossValidation, ElasticNet, LogSpaceTrainer, Loss, MLP, Metrics,
   RandomForest, RegressionTree, Trainer => MlTrainer}
 import repro.planner._
 import repro.scopesim._
@@ -72,12 +72,19 @@ object Tables {
   /** Pooled out-of-fold pairs over all groups, in group order; the groups
     * are cross-validated concurrently.
     */
-  private def cvPooled(groups: Seq[Array[OpSample]], trainer: MlTrainer, logSpace: Boolean): Seq[(Double, Double)] = {
-    val t: MlTrainer = if (logSpace) LogSpaceTrainer(trainer) else trainer
+  private def cvPooled(groups: Seq[Array[OpSample]], trainer: MlTrainer): Seq[(Double, Double)] =
     groups.toVector.par.flatMap { arr =>
-      CrossValidation.outOfFold(arr.map(_.features), arr.map(_.actual), t, k = 5)
+      CrossValidation.outOfFold(arr.map(_.features), arr.map(_.actual), trainer)
     }.seq
-  }
+
+  /** The five learners Tables 4 and 6 compare, in table order. */
+  private def learners: Seq[(String, MlTrainer)] = Seq(
+    "Neural Network" -> MLP(epochs = 120),
+    "Decision Tree" -> RegressionTree(maxDepth = 15),
+    "FastTree Regression" -> CleoTrainer.fastTree,
+    "Random Forest" -> RandomForest(nTrees = 20, maxDepth = 5),
+    "Elastic net" -> CleoTrainer.elasticNet,
+  )
 
   // ---------------------------------------------------------------- Table 1
 
@@ -91,7 +98,7 @@ object Tables {
     )
     val rows = losses.map { case (loss, isLog, paper) =>
       val net = ElasticNet(l1 = 0.003, l2 = 0.01, loss = if (isLog) Loss.MSE else loss)
-      val pairs = cvPooled(cvGroups, net, logSpace = isLog)
+      val pairs = cvPooled(cvGroups, if (isLog) LogSpaceTrainer(net) else net)
       val (_, med, _) = metrics(pairs)
       Seq(loss.name, pct(med), paper)
     }
@@ -104,19 +111,11 @@ object Tables {
 
   /** Table 4: ML algorithms on operator-subgraph models. */
   def table4(): TableResult = {
-    val algos: Seq[(String, MlTrainer, String, String)] = Seq(
-      ("Neural Network", MLP(epochs = 120), "0.89", "27%"),
-      ("Decision Tree", RegressionTree(maxDepth = 15), "0.91", "19%"),
-      ("Fast-Tree regression", CleoTrainer.fastTree, "0.90", "20%"),
-      ("Random Forest", RandomForest(nTrees = 20, maxDepth = 5), "0.89", "32%"),
-      ("Elastic net", CleoTrainer.elasticNet, "0.92", "14%"),
-    )
-    val covered = cvGroups.flatten
-    val (dc, dm, _) = metrics(covered.map(s => (s.defaultCost, s.actual)))
+    val paper = Seq(("0.89", "27%"), ("0.91", "19%"), ("0.90", "20%"), ("0.89", "32%"), ("0.92", "14%"))
+    val (dc, dm, _) = metrics(cvGroups.flatten.map(s => (s.defaultCost, s.actual)))
     val defaultRow = Seq("Default", f2(dc), f1(dm) + "%", "0.04", "258%")
-    val rows = algos.map { case (name, t, pc, pe) =>
-      val pairs = cvPooled(cvGroups, t, logSpace = true)
-      val (c, m, _) = metrics(pairs)
+    val rows = learners.zip(paper).map { case ((name, t), (pc, pe)) =>
+      val (c, m, _) = metrics(cvPooled(cvGroups, LogSpaceTrainer(t)))
       Seq(name, f2(c), f1(m) + "%", pc, pe)
     }
     TableResult("Table 4 — ML algorithms on op-subgraph models (5-fold CV, cluster 1)",
@@ -144,6 +143,11 @@ object Tables {
   private def combined(set: CleoModelSet): OpSample => Option[Double] = s => Some(set.predict(s))
   private val default: OpSample => Option[Double] = s => Some(s.defaultCost)
 
+  /** Default, each individual family, and Combined: the models of Tables 5 and 7. */
+  private def predictors(set: CleoModelSet): Seq[(String, OpSample => Option[Double])] =
+    ("Default" -> default) +: Family.all.map(f => f.name -> ((s: OpSample) => set.predictFamily(f, s))) :+
+      ("Combined" -> combined(set))
+
   /** Table 5: accuracy/coverage per learned model family (cluster 1). */
   def table5(): TableResult = {
     val set = Workloads.trained(1)
@@ -156,10 +160,7 @@ object Tables {
       val (pc, pm, pv) = paper(name)
       Seq(name, f2(e.corr), f1(e.med) + "%", pct(e.coverage), pc, pm, pv)
     }
-    val rows =
-      row("Default", eval(test, default)) +:
-        Family.all.map(f => row(f.name, eval(test, set.predictFamily(f, _)))) :+
-        row("Combined", eval(test, combined(set)))
+    val rows = predictors(set).map { case (name, p) => row(name, eval(test, p)) }
     TableResult("Table 5 — learned model families (train d1-2, test d3, cluster 1)",
       Seq("Model", "Corr", "MedErr", "Coverage", "Corr(paper)", "MedErr(paper)", "Cov(paper)"),
       rows,
@@ -174,18 +175,14 @@ object Tables {
     val full = Workloads.trained(1)
     val d2 = ss.filter(_.day == 2)
     val test = Workloads.testDay(1)
-    val metas: Seq[(String, MlTrainer, String, String)] = Seq(
-      ("Neural Network", MLP(epochs = 120), "0.79", "31%"),
-      ("Decision Tree", RegressionTree(maxDepth = 15), "0.73", "41%"),
-      ("FastTree Regression", CleoTrainer.fastTree, "0.84", "19%"),
-      ("Random Forest", RandomForest(nTrees = 20, maxDepth = 5), "0.80", "28%"),
-      ("Elastic net", CleoTrainer.elasticNet, "0.68", "64%"),
-    )
+    val paper = Seq(("0.79", "31%"), ("0.73", "41%"), ("0.84", "19%"), ("0.80", "28%"), ("0.68", "64%"))
     val (dc, dm, _) = metrics(test.map(s => (s.defaultCost, s.actual)))
-    val rows = Seq("Default", f2(dc), f1(dm) + "%", "0.04", "258%") +: metas.map {
-      case (name, t, pc, pe) =>
-        val stacked = CleoTrainer.withCombined(indivD1, d2, t)
-        val deployed = full.copy(combined = stacked.combined)
+    val rows = Seq("Default", f2(dc), f1(dm) + "%", "0.04", "258%") +: learners.zip(paper).map {
+      case ((name, t), (pc, pe)) =>
+        // The deployed bundle's combined model is this same stacked FastTree fit.
+        val deployed =
+          if (t == CleoTrainer.fastTree) full
+          else full.copy(combined = CleoTrainer.withCombined(indivD1, d2, t).combined)
         val e = eval(test, combined(deployed))
         Seq(name, f2(e.corr), f1(e.med) + "%", pc, pe)
     }
@@ -210,11 +207,7 @@ object Tables {
       Seq(name, f2(all.corr), f1(all.med) + "%", f1(all.p95) + "%", pct(all.coverage),
         f2(ah.corr), f1(ah.med) + "%", f1(ah.p95) + "%", pct(ah.coverage)) ++
         Seq(paper(name).mkString(" / "))
-    val rows =
-      row("Default", eval(test, default), eval(adhoc, default)) +:
-        Family.all.map(f =>
-          row(f.name, eval(test, set.predictFamily(f, _)), eval(adhoc, set.predictFamily(f, _)))) :+
-        row("Combined", eval(test, combined(set)), eval(adhoc, combined(set)))
+    val rows = predictors(set).map { case (name, p) => row(name, eval(test, p), eval(adhoc, p)) }
     TableResult("Table 7 — breakdown, all jobs vs ad-hoc (cluster 1, test d3)",
       Seq("Model", "Corr", "Med", "95%", "Cov", "Corr(adhoc)", "Med(adhoc)", "95%(adhoc)",
         "Cov(adhoc)", "paper: corr/med/95/cov | adhoc corr/med/95/cov"),
@@ -340,14 +333,13 @@ object Tables {
     val cluster = 4
     val cfg = Workloads.config(cluster)
     val pred = Workloads.predictor(cluster)
-    val tmpls = Workloads.templates(cluster)
     val runs = Workloads.runs(cluster).filter(r => r.day == 3 && !r.adhoc)
       .groupBy(_.templateId).values.map(_.head).toSeq.sortBy(_.jobId).take(120)
 
-    val comps = runs.map(r => CascadesLite.compare(r, tmpls(r.templateId), cfg, pred))
+    val comps = runs.map(r => CascadesLite.compare(r, r.template, cfg, pred))
     val noPart = runs.map { r =>
-      val d = CascadesLite.optimizeRun(r, tmpls(r.templateId), cfg, CascadesLite.DefaultCoster)
-      val c = CascadesLite.optimizeRun(r, tmpls(r.templateId), cfg,
+      val d = CascadesLite.optimizeRun(r, r.template, cfg, CascadesLite.DefaultCoster)
+      val c = CascadesLite.optimizeRun(r, r.template, cfg,
         CascadesLite.CleoCoster(pred, optimizePartitions = false))
       d.choices != c.choices
     }
@@ -425,7 +417,6 @@ object Tables {
 
     val cfgC = Workloads.config(4)
     val pred = Workloads.predictor(4)
-    val tmpls = Workloads.templates(4)
     val jobs = Workloads.runs(4).filter(r => r.day == 3 && !r.adhoc).take(30)
     def perJobMs(f: JobRun => Unit): Double = {
       jobs.foreach(f)
@@ -434,8 +425,8 @@ object Tables {
       }
       Metrics.percentile(passes, 0.5)
     }
-    val tDef = perJobMs(r => CascadesLite.optimizeRun(r, tmpls(r.templateId), cfgC, CascadesLite.DefaultCoster))
-    val tCleo = perJobMs(r => CascadesLite.optimizeRun(r, tmpls(r.templateId), cfgC, CascadesLite.CleoCoster(pred)))
+    val tDef = perJobMs(r => CascadesLite.optimizeRun(r, r.template, cfgC, CascadesLite.DefaultCoster))
+    val tCleo = perJobMs(r => CascadesLite.optimizeRun(r, r.template, cfgC, CascadesLite.CleoCoster(pred)))
     val rows = Seq(
       Seq("individual models trained (cluster 4)", nModels.toString, "~23K (800-job cluster)"),
       Seq("training time", f1(trainSecs) + " s", "< 1 h for 800 jobs"),

@@ -11,7 +11,6 @@ object Workloads {
 
   private val runsCache = TrieMap.empty[Int, Vector[JobRun]]
   private val samplesCache = TrieMap.empty[Int, Vector[OpSample]]
-  private val templatesCache = TrieMap.empty[Int, Map[Long, JobTemplate]]
   private val trainedCache = TrieMap.empty[Int, CleoModelSet]
 
   def config(cluster: Int): ClusterConfig = WorkloadGen.cluster(cluster)
@@ -21,10 +20,6 @@ object Workloads {
 
   def samples(cluster: Int): Vector[OpSample] =
     samplesCache.getOrElseUpdate(cluster, Logs.samples(runs(cluster), config(cluster).gtConfig))
-
-  def templates(cluster: Int): Map[Long, JobTemplate] =
-    templatesCache.getOrElseUpdate(cluster,
-      WorkloadGen.genTemplates(config(cluster)).map(t => t.id -> t).toMap)
 
   /** The deployed CLEO bundle for a cluster ([[Trainer.deploy]]). */
   def trained(cluster: Int): CleoModelSet =

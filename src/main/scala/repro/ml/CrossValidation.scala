@@ -6,6 +6,10 @@ package repro.ml
   */
 object CrossValidation {
 
+  /** Folds of [[outOfFold]], and the seed of their assignment. */
+  private val Folds = 5
+  private val FoldSeed = 7L
+
   def foldAssignment(n: Int, k: Int, seed: Long): Array[Int] = {
     val rng = new scala.util.Random(seed)
     val idx = rng.shuffle((0 until n).toList).toArray
@@ -20,13 +24,11 @@ object CrossValidation {
       xs: Array[Array[Double]],
       ys: Array[Double],
       trainer: Trainer,
-      k: Int = 5,
-      seed: Long = 7,
   ): Seq[(Double, Double)] = {
     val n = xs.length
-    if (n < k) return Seq.empty
-    val folds = foldAssignment(n, k, seed)
-    (0 until k).flatMap { f =>
+    if (n < Folds) return Seq.empty
+    val folds = foldAssignment(n, Folds, FoldSeed)
+    (0 until Folds).flatMap { f =>
       val trainIdx = (0 until n).filter(folds(_) != f).toArray
       val testIdx = (0 until n).filter(folds(_) == f).toArray
       if (trainIdx.length < 2 || testIdx.isEmpty) Seq.empty

@@ -48,11 +48,11 @@ final case class ElasticNet(
     l1: Double = 0.01,
     l2: Double = 0.01,
     loss: Loss = Loss.MSE,
-    maxIter: Int = 400,
-    tol: Double = 1e-8,
 ) extends Trainer {
 
-  override def name: String = "Elastic net"
+  /** Coordinate-descent sweeps, and the largest weight change that stops them early. */
+  private val MaxIter = 400
+  private val Tol = 1e-8
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): ElasticNetModel = {
     require(xs.nonEmpty && xs.length == ys.length, "empty or mismatched training set")
@@ -88,7 +88,7 @@ final case class ElasticNet(
     }
     var it = 0
     var maxDelta = Double.MaxValue
-    while (it < maxIter && maxDelta > tol) {
+    while (it < MaxIter && maxDelta > Tol) {
       maxDelta = 0.0
       j = 0
       while (j < d) {
@@ -124,7 +124,7 @@ final case class ElasticNet(
     // scale-aware step: residuals are in raw target units
     val yScale = math.max(1e-9, ys.map(math.abs).sum / n)
     var lr = 0.5 * yScale
-    val epochs = math.max(maxIter, 600)
+    val epochs = math.max(MaxIter, 600)
     var e = 0
     while (e < epochs) {
       val res = new Array[Double](n)

@@ -8,13 +8,10 @@ package repro.ml
 final case class FastTree(
     nTrees: Int = 20,
     maxDepth: Int = 5,
-    learningRate: Double = 0.2,
     subsample: Double = 0.9,
-    minLeaf: Int = 2,
     seed: Long = 31,
 ) extends Trainer {
-
-  override def name: String = "FastTree Regression"
+  import FastTree.LearningRate
 
   final case class Model(base: Double, trees: Array[Regressor], lr: Double) extends Regressor {
     override def predict(x: Array[Double]): Double = {
@@ -39,12 +36,17 @@ final case class FastTree(
         else rng.shuffle((0 until n).toList).take(take).toArray
       val bx = idx.map(xs)
       val br = idx.map(i => ys(i) - pred(i))
-      val tree = RegressionTree(maxDepth, minLeaf, seed = seed + t).fit(bx, br)
+      val tree = RegressionTree(maxDepth, seed = seed + t).fit(bx, br)
       var i = 0
-      while (i < n) { pred(i) += learningRate * tree.predict(xs(i)); i += 1 }
+      while (i < n) { pred(i) += LearningRate * tree.predict(xs(i)); i += 1 }
       trees(t) = tree
       t += 1
     }
-    Model(base, trees, learningRate)
+    Model(base, trees, LearningRate)
   }
+}
+
+object FastTree {
+  /** Shrinkage applied to every tree's output. */
+  val LearningRate = 0.2
 }

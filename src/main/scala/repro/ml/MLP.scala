@@ -9,12 +9,9 @@ final case class MLP(
     hidden: Array[Int] = Array(30, 30),
     epochs: Int = 200,
     batch: Int = 32,
-    lr: Double = 1e-2,
-    l2: Double = 0.005,
     seed: Long = 41,
 ) extends Trainer {
-
-  override def name: String = "Neural Network"
+  import MLP._
 
   final case class Model(
       ws: Array[Array[Array[Double]]], // layer -> out -> in
@@ -22,24 +19,8 @@ final case class MLP(
       scaler: Standardizer,
       yMean: Double, yStd: Double,
   ) extends Regressor {
-    override def predict(x: Array[Double]): Double = {
-      var a = scaler.transform(x)
-      var l = 0
-      while (l < ws.length) {
-        val w = ws(l); val b = bs(l)
-        val out = new Array[Double](w.length)
-        var o = 0
-        while (o < w.length) {
-          var s = b(o); val row = w(o); var i = 0
-          while (i < row.length) { s += row(i) * a(i); i += 1 }
-          out(o) = if (l < ws.length - 1 && s < 0) 0.0 else s // ReLU except output
-          o += 1
-        }
-        a = out
-        l += 1
-      }
-      a(0) * yStd + yMean
-    }
+    override def predict(x: Array[Double]): Double =
+      forward(ws, bs, scaler.transform(x))(ws.length)(0) * yStd + yMean
   }
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor = {
@@ -82,26 +63,10 @@ final case class MLP(
         var k = start
         while (k < end) {
           val idx = order(k)
-          // forward
-          val acts = new Array[Array[Double]](L + 1)
-          acts(0) = z(idx)
-          var l = 0
-          while (l < L) {
-            val w = ws(l); val b = bs(l)
-            val out = new Array[Double](w.length)
-            var o = 0
-            while (o < w.length) {
-              var s = b(o); val row = w(o); var q = 0
-              while (q < row.length) { s += row(q) * acts(l)(q); q += 1 }
-              out(o) = if (l < L - 1 && s < 0) 0.0 else s
-              o += 1
-            }
-            acts(l + 1) = out
-            l += 1
-          }
+          val acts = forward(ws, bs, z(idx))
           // backward (squared loss)
           var delta = Array(2.0 * (acts(L)(0) - t(idx)))
-          l = L - 1
+          var l = L - 1
           while (l >= 0) {
             val w = ws(l)
             val gwl = gw(l); val gbl = gb(l)
@@ -140,16 +105,16 @@ final case class MLP(
           while (o < ws(l).length) {
             var q = 0
             while (q < ws(l)(o).length) {
-              val g = gw(l)(o)(q) / bsz + l2 * ws(l)(o)(q)
+              val g = gw(l)(o)(q) / bsz + L2 * ws(l)(o)(q)
               mw(l)(o)(q) = b1 * mw(l)(o)(q) + (1 - b1) * g
               vw(l)(o)(q) = b2 * vw(l)(o)(q) + (1 - b2) * g * g
-              ws(l)(o)(q) -= lr * (mw(l)(o)(q) / corr1) / (math.sqrt(vw(l)(o)(q) / corr2) + eps)
+              ws(l)(o)(q) -= LearningRate * (mw(l)(o)(q) / corr1) / (math.sqrt(vw(l)(o)(q) / corr2) + eps)
               q += 1
             }
             val g = gb(l)(o) / bsz
             mb(l)(o) = b1 * mb(l)(o) + (1 - b1) * g
             vb(l)(o) = b2 * vb(l)(o) + (1 - b2) * g * g
-            bs(l)(o) -= lr * (mb(l)(o) / corr1) / (math.sqrt(vb(l)(o) / corr2) + eps)
+            bs(l)(o) -= LearningRate * (mb(l)(o) / corr1) / (math.sqrt(vb(l)(o) / corr2) + eps)
             o += 1
           }
           l += 1
@@ -159,5 +124,35 @@ final case class MLP(
       e += 1
     }
     Model(ws, bs, scaler, yMean, yStd)
+  }
+}
+
+object MLP {
+
+  private val LearningRate = 1e-2
+  private val L2 = 0.005
+
+  /** Every layer's activations for one standardized input, `input` first;
+    * ReLU on all but the last (linear) layer.
+    */
+  private def forward(ws: Array[Array[Array[Double]]], bs: Array[Array[Double]],
+                      input: Array[Double]): Array[Array[Double]] = {
+    val acts = new Array[Array[Double]](ws.length + 1)
+    acts(0) = input
+    var l = 0
+    while (l < ws.length) {
+      val w = ws(l); val b = bs(l); val a = acts(l)
+      val out = new Array[Double](w.length)
+      var o = 0
+      while (o < w.length) {
+        var s = b(o); val row = w(o); var i = 0
+        while (i < row.length) { s += row(i) * a(i); i += 1 }
+        out(o) = if (l < ws.length - 1 && s < 0) 0.0 else s
+        o += 1
+      }
+      acts(l + 1) = out
+      l += 1
+    }
+    acts
   }
 }

@@ -4,11 +4,8 @@ package repro.ml
 final case class RandomForest(
     nTrees: Int = 20,
     maxDepth: Int = 5,
-    minLeaf: Int = 2,
     seed: Long = 23,
 ) extends Trainer {
-
-  override def name: String = "Random Forest"
 
   final case class Model(trees: Array[Regressor]) extends Regressor {
     override def predict(x: Array[Double]): Double = {
@@ -27,7 +24,7 @@ final case class RandomForest(
       val idx = Array.fill(xs.length)(rng.nextInt(xs.length)) // bootstrap
       val bx = idx.map(xs)
       val by = idx.map(ys)
-      RegressionTree(maxDepth, minLeaf, featureSubset = Some(mtry), seed = seed + t).fit(bx, by)
+      RegressionTree(maxDepth, featureSubset = Some(mtry), seed = seed + t).fit(bx, by)
     }
     Model(trees)
   }

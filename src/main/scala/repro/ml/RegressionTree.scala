@@ -3,9 +3,9 @@ package repro.ml
 /** CART-style regression tree with variance-reduction splits.
   *
   * Candidate thresholds are node sample values at quantile ranks: with a
-  * node's m values of a feature sorted, the values at ranks `(b*(m-1))/bins`
-  * for `b` in `1 until bins`, distinct and ascending. A split sends rows with
-  * `x(f) <= threshold` left. At most `bins - 1` candidates per feature keep
+  * node's m values of a feature sorted, the values at ranks `(b*(m-1))/Bins`
+  * for `b` in `1 until Bins`, distinct and ascending. A split sends rows with
+  * `x(f) <= threshold` left. At most `Bins - 1` candidates per feature keep
   * depth-15 trees (the paper's decision-tree setting) fast, and are exact
   * enough for cost-model data.
   *
@@ -24,6 +24,9 @@ package repro.ml
   * first split in feature order, then in threshold order.
   */
 object RegressionTree {
+
+  /** Quantile ranks per feature; their values are the split candidates. */
+  val Bins = 32
 
   /** Relative margin by which a gain must beat the best one to replace it. */
   val TieTolerance = 1e-9
@@ -49,14 +52,11 @@ object RegressionTree {
 final case class RegressionTree(
     maxDepth: Int = 15,
     minLeaf: Int = 2,
-    bins: Int = 32,
     /** If set, consider only this many randomly chosen features per split (for forests). */
     featureSubset: Option[Int] = None,
     seed: Long = 17,
 ) extends Trainer {
   import RegressionTree._
-
-  override def name: String = "Decision Tree"
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Model = {
     require(xs.nonEmpty, "empty training set")
@@ -86,13 +86,12 @@ final case class RegressionTree(
     // Per feature of a node: candidates, and per bucket (rows above candidate
     // c-1 and at most candidate c; the last bucket is above every candidate)
     // its count and sums, and the sums over the buckets after it.
-    private val slots = math.max(bins, 1)
-    private val cand = new Array[Double](slots)
-    private val cnt = new Array[Int](slots)
-    private val sy = new Array[Double](slots)
-    private val syy = new Array[Double](slots)
-    private val rSy = new Array[Double](slots)
-    private val rSyy = new Array[Double](slots)
+    private val cand = new Array[Double](Bins)
+    private val cnt = new Array[Int](Bins)
+    private val sy = new Array[Double](Bins)
+    private val syy = new Array[Double](Bins)
+    private val rSy = new Array[Double](Bins)
+    private val rSyy = new Array[Double](Bins)
 
     /** Rows of `col` sorted by value (`java.lang.Double` order), ties by row. */
     private def sortedRows(col: Array[Double]): Array[Int] = {
@@ -160,8 +159,8 @@ final case class RegressionTree(
       for (f <- feats) {
         val col = cols(f); val ord = order(f)
         var k = 0; var b = 1
-        while (b < bins) {
-          val v = col(ord(lo + (b * (m - 1)) / bins))
+        while (b < Bins) {
+          val v = col(ord(lo + (b * (m - 1)) / Bins))
           if (k == 0 || v != cand(k - 1)) { cand(k) = v; k += 1 }
           b += 1
         }

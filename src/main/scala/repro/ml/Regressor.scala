@@ -8,8 +8,6 @@ trait Regressor extends Serializable {
 /** A training algorithm producing a [[Regressor]] from a dense design matrix. */
 trait Trainer extends Serializable {
   def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor
-  /** Human-readable name used in bench tables. */
-  def name: String
 }
 
 /** Per-column standardization (z-score). Zero-variance columns map to 0 so a
@@ -65,7 +63,6 @@ object Standardizer {
   * runaway predictions dominate every raw-space metric.
   */
 final case class LogSpaceTrainer(inner: Trainer) extends Trainer {
-  override def name: String = inner.name
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor = {
     val logYs = ys.map(y => math.log1p(math.max(0.0, y)))
     val (zMin, zMax) = (logYs.min, logYs.max)

@@ -81,28 +81,31 @@ object GroundTruth {
     * @param instanceSeed varies per job instance — drives skew and noise
     */
   def exclusiveLatency(n: Phys, instanceSeed: Long, cfg: Config): Double = {
-    val nodeSeed = Determ.mix2(instanceSeed, Determ.mix2(n.contentHash, n.logicalId.toLong))
-    val startup = 0.3 + 0.2 * Determ.uniform(Determ.mix2(nodeSeed, 1))
-    val skew = math.exp(math.abs(Determ.gauss(Determ.mix2(nodeSeed, 2))) * 0.15)
-    val noiseBase = math.exp(Determ.gauss(Determ.mix2(nodeSeed, 3)) * cfg.noiseSigma)
+    val seed = nodeSeed(n, instanceSeed)
+    val startup = 0.3 + 0.2 * Determ.uniform(Determ.mix2(seed, 1))
+    val skew = math.exp(math.abs(Determ.gauss(Determ.mix2(seed, 2))) * 0.15)
     val outlier =
-      if (Determ.uniform(Determ.mix2(nodeSeed, 4)) < cfg.outlierFrac)
-        3.0 + 5.0 * Determ.uniform(Determ.mix2(nodeSeed, 5))
+      if (Determ.uniform(Determ.mix2(seed, 4)) < cfg.outlierFrac)
+        3.0 + 5.0 * Determ.uniform(Determ.mix2(seed, 5))
       else 1.0
-    val w = work(n) * hiddenMul(n, cfg) * pipeMul(n)
-    val lat = startup + (w / n.partitions) * skew + PartitionOverhead * n.partitions
-    lat * noiseBase * outlier
+    val lat = startup + (hiddenWork(n, cfg) / n.partitions) * skew + PartitionOverhead * n.partitions
+    lat * noiseBase(seed, cfg) * outlier
   }
 
   /** Total processing time (CPU-seconds) of one operator instance — the
     * resource-consumption metric of Section 6.6 (Figure 19b).
     */
-  def cpuSeconds(n: Phys, instanceSeed: Long, cfg: Config): Double = {
-    val nodeSeed = Determ.mix2(instanceSeed, Determ.mix2(n.contentHash, n.logicalId.toLong))
-    val noiseBase = math.exp(Determ.gauss(Determ.mix2(nodeSeed, 3)) * cfg.noiseSigma)
-    val w = work(n) * hiddenMul(n, cfg) * pipeMul(n)
-    (w + (0.05 + PartitionOverhead) * n.partitions) * noiseBase
-  }
+  def cpuSeconds(n: Phys, instanceSeed: Long, cfg: Config): Double =
+    (hiddenWork(n, cfg) + (0.05 + PartitionOverhead) * n.partitions) *
+      noiseBase(nodeSeed(n, instanceSeed), cfg)
+
+  // One operator of one job instance draws its latency and its CPU time
+  // from one seed, so the two share its work and its cloud noise.
+  private def nodeSeed(n: Phys, instanceSeed: Long): Long =
+    Determ.mix2(instanceSeed, Determ.mix2(n.contentHash, n.logicalId.toLong))
+  private def noiseBase(nodeSeed: Long, cfg: Config): Double =
+    math.exp(Determ.gauss(Determ.mix2(nodeSeed, 3)) * cfg.noiseSigma)
+  private def hiddenWork(n: Phys, cfg: Config): Double = work(n) * hiddenMul(n, cfg) * pipeMul(n)
 
   /** Job-level latency: sum of exclusive operator latencies (costs compose
     * additively, matching how both the default and learned models combine).

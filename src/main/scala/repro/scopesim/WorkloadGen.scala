@@ -26,18 +26,19 @@ final case class ClusterConfig(
     GroundTruth.Config(noiseSigma = noiseSigma, hiddenSigma = hiddenSigma, seed = seed ^ 0x6EADL)
 }
 
-/** One executed job instance: the physical plan the engine ran plus its
-  * provenance (cluster, day, recurring template vs ad-hoc).
+/** One executed job instance: the physical plan the engine ran, its day,
+  * and the template it instantiates (recurring, or the ad-hoc job's own).
   */
 final case class JobRun(
     jobId: Long,
-    cluster: Int,
     day: Int,
-    adhoc: Boolean,
-    templateId: Long,
+    template: JobTemplate,
     param: Double,
     root: Phys,
 ) {
+  def cluster: Int = template.cluster
+  def adhoc: Boolean = template.adhoc
+  def templateId: Long = template.id
   def instanceSeed: Long = Determ.mix2(0xFACEL, jobId)
 }
 
@@ -90,7 +91,8 @@ object WorkloadGen {
     * subexpression to clone (common subexpressions across jobs, Section 3.1).
     */
   private def buildLogical(
-      rng: Random, cfg: ClusterConfig, borrowFrom: Option[LogicalNode], ids: Iterator[Int]): LogicalNode = {
+      rng: Random, cfg: ClusterConfig, borrowFrom: Option[LogicalNode]): LogicalNode = {
+    val ids = Iterator.from(0)
 
     def pickInput(): String = {
       val idx = (cfg.nInputs * math.pow(rng.nextDouble(), 2.0)).toInt.min(cfg.nInputs - 1)
@@ -158,23 +160,29 @@ object WorkloadGen {
     walk(root)
   }
 
+  /** Draws one template: with probability `borrowP` (and a non-empty `donors`)
+    * it clones a subtree of a random donor, then its logical plan, physical
+    * choices and parameter center, in that order from `rng`.
+    */
+  private def template(
+      rng: Random, cfg: ClusterConfig, donors: collection.IndexedSeq[JobTemplate], borrowP: Double,
+      id: Long, adhoc: Boolean): JobTemplate = {
+    val borrow =
+      if (donors.nonEmpty && rng.nextDouble() < borrowP) {
+        val donor = donors(rng.nextInt(donors.length))
+        val subs = borrowableSubtrees(donor.root)
+        if (subs.nonEmpty) Some(subs(rng.nextInt(subs.length))) else None
+      } else None
+    val root = buildLogical(rng, cfg, borrow)
+    JobTemplate(id, cfg.id, root, choosePhysical(rng, root),
+      paramMean = math.exp(rng.nextGaussian() * 0.3), adhoc = adhoc)
+  }
+
   def genTemplates(cfg: ClusterConfig): Vector[JobTemplate] = {
     val rng = new Random(cfg.seed)
     val out = ArrayBuffer.empty[JobTemplate]
-    var tid = cfg.id * 1000000L
-    for (_ <- 0 until cfg.nTemplates) {
-      val borrow =
-        if (out.nonEmpty && rng.nextDouble() < 0.35) {
-          val donor = out(rng.nextInt(out.length))
-          val subs = borrowableSubtrees(donor.root)
-          if (subs.nonEmpty) Some(subs(rng.nextInt(subs.length))) else None
-        } else None
-      val ids = Iterator.from(0)
-      val root = buildLogical(rng, cfg, borrow, ids)
-      out += JobTemplate(tid, cfg.id, root, choosePhysical(rng, root),
-        paramMean = math.exp(rng.nextGaussian() * 0.3), adhoc = false)
-      tid += 1
-    }
+    for (i <- 0 until cfg.nTemplates)
+      out += template(rng, cfg, out, 0.35, cfg.id * 1000000L + i, adhoc = false)
     out.toVector
   }
 
@@ -254,39 +262,26 @@ object WorkloadGen {
     val templates = genTemplates(cfg)
     val out = ArrayBuffer.empty[JobRun]
     var jobId = cfg.id * 10000000L
+    def run(t: JobTemplate, day: Int, instSeed: Long): Unit = {
+      val (param, cards) = instantiate(t, day, instSeed, cfg)
+      out += JobRun(jobId, day, t, param, new Realizer(t, cards, param, DefaultPartitioner).realize())
+      jobId += 1
+    }
 
     for (day <- 1 to 3) {
       var recurringToday = 0
       for (t <- templates) {
         val n = instancesPerDay(cfg, t)
         recurringToday += n
-        for (i <- 0 until n) {
-          val instSeed = Determ.mix2(cfg.seed, Determ.mix2(t.id, day * 1000L + i))
-          val (param, cards) = instantiate(t, day, instSeed, cfg)
-          val root = new Realizer(t, cards, param, DefaultPartitioner).realize()
-          out += JobRun(jobId, cfg.id, day, adhoc = false, t.id, param, root)
-          jobId += 1
-        }
+        for (i <- 0 until n) run(t, day, Determ.mix2(cfg.seed, Determ.mix2(t.id, day * 1000L + i)))
       }
-      // ad-hoc: single-use templates, half of which borrow a recurring prefix
+      // ad-hoc: single-use templates, 40% of which borrow a recurring prefix
       val rng = new Random(cfg.seed ^ (day * 7919L))
       val nAdhoc = math.round(recurringToday * cfg.adhocFrac / (1 - cfg.adhocFrac)).toInt
       for (a <- 0 until nAdhoc) {
-        val borrow =
-          if (rng.nextDouble() < 0.4) {
-            val donor = templates(rng.nextInt(templates.length))
-            val subs = borrowableSubtrees(donor.root)
-            if (subs.nonEmpty) Some(subs(rng.nextInt(subs.length))) else None
-          } else None
-        val ids = Iterator.from(0)
-        val root = buildLogical(rng, cfg, borrow, ids)
-        val t = JobTemplate(cfg.id * 1000000L + 500000L + day * 10000L + a, cfg.id, root,
-          choosePhysical(rng, root), math.exp(rng.nextGaussian() * 0.3), adhoc = true)
-        val instSeed = Determ.mix2(cfg.seed ^ 0xADL, t.id)
-        val (param, cards) = instantiate(t, day, instSeed, cfg)
-        out += JobRun(jobId, cfg.id, day, adhoc = true, t.id, param,
-          new Realizer(t, cards, param, DefaultPartitioner).realize())
-        jobId += 1
+        val t = template(rng, cfg, templates, 0.4,
+          cfg.id * 1000000L + 500000L + day * 10000L + a, adhoc = true)
+        run(t, day, Determ.mix2(cfg.seed ^ 0xADL, t.id))
       }
     }
     out.toVector

@@ -91,7 +91,7 @@ class TrainerSpec extends AnyFunSuite {
   private def sequentialFamily(ss: Seq[OpSample], family: Family): Map[Long, CostModel] =
     Trainer.groups(ss, family).map { case (k, arr) =>
       val ys = arr.map(s => math.log1p(math.max(0.0, s.actual)))
-      k -> CostModel(Trainer.elasticNet.fit(arr.map(_.features), ys), arr.length, ys.min, ys.max)
+      k -> CostModel(Trainer.elasticNet.fit(arr.map(_.features), ys), ys.min, ys.max)
     }
 
   test("parallel training equals a sequential per-group reference") {
@@ -106,8 +106,8 @@ class TrainerSpec extends AnyFunSuite {
         assert(g.net.weights.sameElements(w.net.weights), s"${f.name} $k weights")
         assert(g.net.scaler.mean.sameElements(w.net.scaler.mean), s"${f.name} $k mean")
         assert(g.net.scaler.std.sameElements(w.net.scaler.std), s"${f.name} $k std")
-        assert(g.net.intercept == w.net.intercept && g.n == w.n && g.zMin == w.zMin && g.zMax == w.zMax,
-          s"${f.name} $k intercept/n/zMin/zMax")
+        assert(g.net.intercept == w.net.intercept && g.zMin == w.zMin && g.zMax == w.zMax,
+          s"${f.name} $k intercept/zMin/zMax")
       }
     }
   }

@@ -19,7 +19,7 @@ class CrossValidationSpec extends AnyFunSuite {
     val rng = new scala.util.Random(2)
     val xs = Array.fill(60)(Array(rng.nextDouble()))
     val ys = xs.map(x => 2 * x(0) + 1)
-    val pairs = CrossValidation.outOfFold(xs, ys, ElasticNet(), k = 5)
+    val pairs = CrossValidation.outOfFold(xs, ys, ElasticNet())
     assert(pairs.size == 60)
     assert(pairs.map(_._2).sorted == ys.toSeq.sorted)
   }
@@ -28,11 +28,11 @@ class CrossValidationSpec extends AnyFunSuite {
     val rng = new scala.util.Random(3)
     val xs = Array.fill(80)(Array(rng.nextDouble() * 10))
     val ys = xs.map(x => 3 * x(0) + 5)
-    val pairs = CrossValidation.outOfFold(xs, ys, ElasticNet(l1 = 1e-5, l2 = 1e-5), k = 5)
+    val pairs = CrossValidation.outOfFold(xs, ys, ElasticNet(l1 = 1e-5, l2 = 1e-5))
     assert(Metrics.medianErrorPct(pairs.map(_._1), pairs.map(_._2)) < 5.0)
   }
 
   test("too-small sets return no pairs") {
-    assert(CrossValidation.outOfFold(Array(Array(1.0)), Array(1.0), ElasticNet(), k = 5).isEmpty)
+    assert(CrossValidation.outOfFold(Array(Array(1.0)), Array(1.0), ElasticNet()).isEmpty)
   }
 }

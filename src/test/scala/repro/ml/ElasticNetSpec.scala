@@ -100,7 +100,7 @@ class ElasticNetSpec extends AnyFunSuite {
     val xs = Array.fill(100)(Array(rng.nextDouble() * 100))
     val ys = xs.map(x => 0.01 * x(0) + 0.1)
     val logYs = ys.map(math.log1p)
-    val cost = repro.cleo.CostModel(ElasticNet().fit(xs, logYs), xs.length, logYs.min, logYs.max)
+    val cost = repro.cleo.CostModel(ElasticNet().fit(xs, logYs), logYs.min, logYs.max)
     val wrapped = LogSpaceTrainer(ElasticNet()).fit(xs, ys)
     for (x <- Seq(Array(-1e6), Array(0.0), Array(50.0), Array(1e6)))
       assert(cost.predictCost(x) == wrapped.predict(x))

@@ -46,8 +46,8 @@ private object ScanRegressionTree {
     var bestThr = 0.0
     for (f <- feats) {
       val vals = idx.map(i => xs(i)(f)).sorted
-      val cand = (1 until t.bins).iterator
-        .map(b => vals((b * (vals.length - 1)) / t.bins))
+      val cand = (1 until RegressionTree.Bins).iterator
+        .map(b => vals((b * (vals.length - 1)) / RegressionTree.Bins))
         .distinct
         .toArray
       for (thr <- cand) {
@@ -84,10 +84,10 @@ private object ScanRegressionTree {
       val idx =
         if (take >= n) (0 until n).toArray
         else rng.shuffle((0 until n).toList).take(take).toArray
-      val root = fit(RegressionTree(ft.maxDepth, ft.minLeaf, seed = ft.seed + t),
+      val root = fit(RegressionTree(ft.maxDepth, seed = ft.seed + t),
         idx.map(xs), idx.map(i => ys(i) - pred(i)))
       val tree = RegressionTree.Model(root)
-      (0 until n).foreach(i => pred(i) += ft.learningRate * tree.predict(xs(i)))
+      (0 until n).foreach(i => pred(i) += FastTree.LearningRate * tree.predict(xs(i)))
       root
     }
   }
@@ -98,7 +98,7 @@ private object ScanRegressionTree {
     val mtry = math.max(1, math.ceil(math.sqrt(xs(0).length.toDouble)).toInt)
     (0 until rf.nTrees).map { t =>
       val idx = Array.fill(xs.length)(rng.nextInt(xs.length))
-      fit(RegressionTree(rf.maxDepth, rf.minLeaf, featureSubset = Some(mtry), seed = rf.seed + t),
+      fit(RegressionTree(rf.maxDepth, featureSubset = Some(mtry), seed = rf.seed + t),
         idx.map(xs), idx.map(ys))
     }
   }

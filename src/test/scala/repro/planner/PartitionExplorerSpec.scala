@@ -14,7 +14,7 @@ class PartitionExplorerSpec extends AnyFunSuite {
     val xs = ps.map(p => repro.core.Features.vector(s.withPartitions(p)))
     val ys = ps.map(p => math.log1p(1e-4 * (s.i / p) + 0.01 * p))
     val net = repro.ml.ElasticNet(l1 = 1e-6, l2 = 1e-6).fit(xs.toArray, ys.toArray)
-    StageOp(repro.cleo.CostModel(net, xs.size, ys.min, ys.max), s)
+    StageOp(repro.cleo.CostModel(net, ys.min, ys.max), s)
   }
 
   test("analytical optimum matches sqrt(θP/θC) when both positive") {

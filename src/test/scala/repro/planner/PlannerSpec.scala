@@ -107,7 +107,7 @@ class PlannerSpec extends AnyFunSuite {
 
   /** Every candidate plan the optimizer realizes for a job, in its order. */
   private def candidates(r: JobRun): Seq[(Map[Int, PhysOp], Phys)] = {
-    val t = templates(r.templateId)
+    val t = r.template
     val cards = cardsOf(r)
     val points = CascadesLite.choicePoints(t.root)
     val fixed = points.drop(7).map { case (id, alts) => id -> t.physChoices.getOrElse(id, alts.head) }.toMap
@@ -196,6 +196,19 @@ class PlannerSpec extends AnyFunSuite {
         val other = new Realizer(t2, cards, r.param, DefaultPartitioner).realize()
         assert(DefaultCostModel.jobCost(other) >= planned.cost - 1e-6)
       }
+    }
+  }
+
+  test("an ad-hoc run is planned from the template it carries") {
+    val adhoc = runs.filter(r => r.day == 3 && r.adhoc).take(10)
+    assert(adhoc.nonEmpty)
+    adhoc.foreach { r =>
+      // The executed plan is the candidate with the template's own choices.
+      assert(candidates(r).exists { case (choices, p) => choices == r.template.physChoices && p == r.root },
+        s"job ${r.jobId}")
+      val planned = CascadesLite.optimizeRun(r, r.template, cfg, CascadesLite.DefaultCoster)
+      assert(planned.choices.keySet == r.template.physChoices.keySet, s"job ${r.jobId}")
+      assert(planned.cost <= DefaultCostModel.jobCost(r.root), s"job ${r.jobId}")
     }
   }
 

@@ -13,6 +13,32 @@ class WorkloadGenSpec extends AnyFunSuite {
     assert(WorkloadGen.cluster(1).nTemplates > WorkloadGen.cluster(4).nTemplates)
   }
 
+  /** Per run: job id, template id, day, node count and root subgraph signature. */
+  private def jobsDigest(rs: Seq[JobRun]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    rs.foreach(r => md.update(
+      s"${r.jobId},${r.templateId},${r.day},${r.root.allNodes.size},${Signatures.subgraph(r.root)}\n".getBytes("UTF-8")))
+    md.digest().take(12).map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  test("generated jobs are pinned by digest") {
+    assert(runs.size == 867)
+    assert(jobsDigest(runs) == "988578492a2e9145c27ce44f")
+  }
+
+  test("every run's template id, ad-hoc flag and cluster are its template's") {
+    runs.foreach { r =>
+      assert(r.templateId == r.template.id && r.adhoc == r.template.adhoc && r.cluster == r.template.cluster)
+      assert(r.cluster == cfg.id)
+    }
+  }
+
+  test("a recurring run carries the generated template with its id") {
+    val byId = templates.map(t => t.id -> t).toMap
+    runs.filter(!_.adhoc).foreach(r => assert(r.template == byId(r.templateId), s"job ${r.jobId}"))
+    assert(runs.filter(_.adhoc).forall(r => !byId.contains(r.templateId)))
+  }
+
   test("generation is reproducible") {
     val again = WorkloadGen.genJobs(cfg)
     assert(again.size == runs.size)
