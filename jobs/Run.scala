@@ -19,7 +19,7 @@ object Run {
 /** §6.6.2 — TPC-H-lite on real Spark through the Catalyst retrofit. */
 object TpchJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cleo-tpch")
       .config("spark.sql.shuffle.partitions", "64")

@@ -2,7 +2,7 @@ package repro.experiments
 
 import repro.cleo.{CardLearner, CleoModelSet, Family, Trainer => CleoTrainer}
 import repro.core.Features
-import repro.ml.{CrossValidation, ElasticNet, LogSpaceTrainer, Loss, MLP, Metrics,
+import repro.ml.{CrossValidation, LogSpaceTrainer, Loss, MLP, Metrics,
   RandomForest, RegressionTree, Trainer => MlTrainer}
 import repro.planner._
 import repro.scopesim._
@@ -90,17 +90,16 @@ object Tables {
 
   /** Table 1: elastic-net median error under the four regression losses. */
   def table1(): TableResult = {
-    val losses = Seq(
-      (Loss.MedAE, false, "246%"),
-      (Loss.MAE, false, "62%"),
-      (Loss.MSE, false, "36%"),
-      (Loss.MSLE, true, "14%"),
+    val net = CleoTrainer.elasticNet
+    val losses = Seq[(String, MlTrainer, String)](
+      ("Median Absolute Error", net.copy(loss = Loss.MedAE), "246%"),
+      ("Mean Absolute Error", net.copy(loss = Loss.MAE), "62%"),
+      ("Mean Squared Error", net, "36%"),
+      ("Mean Squared-Log Error", LogSpaceTrainer(net), "14%"),
     )
-    val rows = losses.map { case (loss, isLog, paper) =>
-      val net = ElasticNet(l1 = 0.003, l2 = 0.01, loss = if (isLog) Loss.MSE else loss)
-      val pairs = cvPooled(cvGroups, if (isLog) LogSpaceTrainer(net) else net)
-      val (_, med, _) = metrics(pairs)
-      Seq(loss.name, pct(med), paper)
+    val rows = losses.map { case (name, trainer, paper) =>
+      val (_, med, _) = metrics(cvPooled(cvGroups, trainer))
+      Seq(name, pct(med), paper)
     }
     TableResult("Table 1 — loss functions (op-subgraph, 5-fold CV, cluster 1)",
       Seq("Loss Function", "Median Error (measured)", "Median Error (paper)"), rows,
@@ -454,6 +453,7 @@ object Tables {
     val rows = Features.names.zip(sums)
       .sortBy(-_._2)
       .map { case (n, w) => Seq(n, f"${100.0 * w / math.max(1e-12, total)}%.2f%%") }
+      .toSeq
     TableResult("Figure 5 analog — aggregate normalized |weight| per feature (op-subgraph)",
       Seq("Feature", "normalized weight"), rows)
   }

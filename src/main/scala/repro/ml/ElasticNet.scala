@@ -2,10 +2,7 @@ package repro.ml
 
 /** L1+L2-regularized linear regression (Zou & Hastie), the paper's model of
   * choice for all individual cost models (Section 3.4: alpha=1.0, l1
-  * ratio=0.5, fit intercept).
-  *
-  * Features are standardized internally; [[rawCoefficients]] maps weights
-  * back to the original feature space.
+  * ratio=0.5, fit intercept). Features are standardized internally.
   */
 final case class ElasticNetModel(
     weights: Array[Double], // in standardized space
@@ -22,19 +19,6 @@ final case class ElasticNetModel(
     }
     s
   }
-
-  /** Weights and intercept expressed over the raw (unstandardized) features. */
-  def rawCoefficients: (Array[Double], Double) = {
-    val w = new Array[Double](weights.length)
-    var b = intercept
-    var j = 0
-    while (j < weights.length) {
-      w(j) = weights(j) / scaler.std(j)
-      b -= weights(j) * scaler.mean(j) / scaler.std(j)
-      j += 1
-    }
-    (w, b)
-  }
 }
 
 /** Coordinate-descent trainer for squared loss; (sub)gradient descent for the
@@ -42,7 +26,7 @@ final case class ElasticNetModel(
   *
   * @param l1 strength of the lasso term
   * @param l2 strength of the ridge term
-  * @param loss raw-space loss; MSE/MSLE use exact coordinate descent
+  * @param loss raw-space loss; MSE uses exact coordinate descent
   */
 final case class ElasticNet(
     l1: Double = 0.01,
@@ -54,13 +38,16 @@ final case class ElasticNet(
   private val MaxIter = 400
   private val Tol = 1e-8
 
+  /** Subgradient-descent epochs. */
+  private val Epochs = 600
+
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): ElasticNetModel = {
     require(xs.nonEmpty && xs.length == ys.length, "empty or mismatched training set")
     val scaler = Standardizer.fit(xs)
     val z = xs.map(scaler.transform)
     loss match {
-      case Loss.MSE | Loss.MSLE => fitCoordinate(z, ys, scaler)
-      case other                => fitGradient(z, ys, scaler, other)
+      case Loss.MSE            => fitCoordinate(z, ys, scaler)
+      case l: Loss.Subgradient => fitGradient(z, ys, scaler, l)
     }
   }
 
@@ -116,7 +103,7 @@ final case class ElasticNet(
 
   /** Full-batch subgradient descent for MAE / MedAE with the same penalty. */
   private def fitGradient(
-      z: Array[Array[Double]], ys: Array[Double], scaler: Standardizer, l: Loss): ElasticNetModel = {
+      z: Array[Array[Double]], ys: Array[Double], scaler: Standardizer, l: Loss.Subgradient): ElasticNetModel = {
     val n = z.length
     val d = z(0).length
     val w = new Array[Double](d)
@@ -124,9 +111,8 @@ final case class ElasticNet(
     // scale-aware step: residuals are in raw target units
     val yScale = math.max(1e-9, ys.map(math.abs).sum / n)
     var lr = 0.5 * yScale
-    val epochs = math.max(MaxIter, 600)
     var e = 0
-    while (e < epochs) {
+    while (e < Epochs) {
       val res = new Array[Double](n)
       var i = 0
       while (i < n) {

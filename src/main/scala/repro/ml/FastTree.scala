@@ -11,15 +11,7 @@ final case class FastTree(
     subsample: Double = 0.9,
     seed: Long = 31,
 ) extends Trainer {
-  import FastTree.LearningRate
-
-  final case class Model(base: Double, trees: Array[Regressor], lr: Double) extends Regressor {
-    override def predict(x: Array[Double]): Double = {
-      var s = base; var i = 0
-      while (i < trees.length) { s += lr * trees(i).predict(x); i += 1 }
-      s
-    }
-  }
+  import FastTree.{LearningRate, Model}
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor = {
     require(xs.nonEmpty, "empty training set")
@@ -42,11 +34,19 @@ final case class FastTree(
       trees(t) = tree
       t += 1
     }
-    Model(base, trees, LearningRate)
+    Model(base, trees)
   }
 }
 
 object FastTree {
-  /** Shrinkage applied to every tree's output. */
-  val LearningRate = 0.2
+  /** Shrinkage applied to every tree's output; `final`, so a literal in `Model.predict`. */
+  final val LearningRate = 0.2
+
+  final case class Model(base: Double, trees: Array[Regressor]) extends Regressor {
+    override def predict(x: Array[Double]): Double = {
+      var s = base; var i = 0
+      while (i < trees.length) { s += LearningRate * trees(i).predict(x); i += 1 }
+      s
+    }
+  }
 }

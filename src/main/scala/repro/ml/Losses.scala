@@ -1,27 +1,25 @@
 package repro.ml
 
-/** Regression loss functions compared in Table 1 of the paper.
-  *
-  * Each provides a per-sample (sub)gradient weight used by gradient-descent
-  * training: d loss / d residual at `r = pred - y`.
+/** Regression loss functions compared in Table 1 of the paper. MSE is fit by
+  * exact coordinate descent; the non-smooth MAE and MedAE by subgradient
+  * descent, so only they carry a gradient. The fourth row, MSLE, is squared
+  * loss on log1p targets ([[LogSpaceTrainer]]).
   */
-sealed trait Loss extends Serializable {
-  def name: String
-  /** Per-sample subgradient d loss_i / d r_i (possibly depending on all residuals). */
-  def gradients(residuals: Array[Double]): Array[Double]
-}
+sealed trait Loss extends Serializable
 
 object Loss {
 
-  /** Mean squared error in raw space. */
-  case object MSE extends Loss {
-    val name = "Mean Squared Error"
-    def gradients(rs: Array[Double]): Array[Double] = rs.map(r => 2.0 * r / rs.length)
+  /** A loss fit by subgradient descent: d loss / d residual at `r = pred - y`. */
+  sealed trait Subgradient extends Loss {
+    /** Per-sample subgradient d loss_i / d r_i (possibly depending on all residuals). */
+    def gradients(residuals: Array[Double]): Array[Double]
   }
 
+  /** Mean squared error in raw space. */
+  case object MSE extends Loss
+
   /** Mean absolute error in raw space. */
-  case object MAE extends Loss {
-    val name = "Mean Absolute Error"
+  case object MAE extends Subgradient {
     def gradients(rs: Array[Double]): Array[Double] = rs.map(r => math.signum(r) / rs.length)
   }
 
@@ -33,8 +31,7 @@ object Loss {
     * constrains the rest of the distribution (the paper's Table 1 shows it
     * performing worst by far).
     */
-  case object MedAE extends Loss {
-    val name = "Median Absolute Error"
+  case object MedAE extends Subgradient {
     private def medianAbs(rs: Array[Double]): Double = {
       val a = rs.map(math.abs).sorted
       if (a.length % 2 == 1) a(a.length / 2) else (a(a.length / 2 - 1) + a(a.length / 2)) / 2.0
@@ -47,13 +44,5 @@ object Loss {
         math.signum(r) * w / rs.length
       }
     }
-  }
-
-  /** Mean squared log error: implemented by squared loss on log1p targets
-    * (see [[LogSpaceTrainer]]); listed here for naming/tables.
-    */
-  case object MSLE extends Loss {
-    val name = "Mean Squared-Log Error"
-    def gradients(rs: Array[Double]): Array[Double] = MSE.gradients(rs)
   }
 }

@@ -13,16 +13,6 @@ final case class MLP(
 ) extends Trainer {
   import MLP._
 
-  final case class Model(
-      ws: Array[Array[Array[Double]]], // layer -> out -> in
-      bs: Array[Array[Double]],
-      scaler: Standardizer,
-      yMean: Double, yStd: Double,
-  ) extends Regressor {
-    override def predict(x: Array[Double]): Double =
-      forward(ws, bs, scaler.transform(x))(ws.length)(0) * yStd + yMean
-  }
-
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor = {
     require(xs.nonEmpty, "empty training set")
     val rng = new scala.util.Random(seed)
@@ -131,6 +121,16 @@ object MLP {
 
   private val LearningRate = 1e-2
   private val L2 = 0.005
+
+  final case class Model(
+      ws: Array[Array[Array[Double]]], // layer -> out -> in
+      bs: Array[Array[Double]],
+      scaler: Standardizer,
+      yMean: Double, yStd: Double,
+  ) extends Regressor {
+    override def predict(x: Array[Double]): Double =
+      forward(ws, bs, scaler.transform(x))(ws.length)(0) * yStd + yMean
+  }
 
   /** Every layer's activations for one standardized input, `input` first;
     * ReLU on all but the last (linear) layer.

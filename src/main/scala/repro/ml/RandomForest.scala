@@ -6,14 +6,7 @@ final case class RandomForest(
     maxDepth: Int = 5,
     seed: Long = 23,
 ) extends Trainer {
-
-  final case class Model(trees: Array[Regressor]) extends Regressor {
-    override def predict(x: Array[Double]): Double = {
-      var s = 0.0; var i = 0
-      while (i < trees.length) { s += trees(i).predict(x); i += 1 }
-      s / trees.length
-    }
-  }
+  import RandomForest.Model
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): Regressor = {
     require(xs.nonEmpty, "empty training set")
@@ -27,5 +20,15 @@ final case class RandomForest(
       RegressionTree(maxDepth, featureSubset = Some(mtry), seed = seed + t).fit(bx, by)
     }
     Model(trees)
+  }
+}
+
+object RandomForest {
+  final case class Model(trees: Array[Regressor]) extends Regressor {
+    override def predict(x: Array[Double]): Double = {
+      var s = 0.0; var i = 0
+      while (i < trees.length) { s += trees(i).predict(x); i += 1 }
+      s / trees.length
+    }
   }
 }

@@ -120,13 +120,13 @@ object CascadesLite {
     val gt = cfg.gtConfig
     val dflt = optimizeRun(run, template, cfg, DefaultCoster)
     val learned = optimizeRun(run, template, cfg, CleoCoster(cleo))
-    // A "plan change" is an operator-implementation change, a structural
-    // change (e.g. elided exchange), or a substantive (>25%) partition-count
-    // move — partition jitter within the band is not a different plan.
+    // A "plan change" is an operator-implementation change or a substantive
+    // (>25%) partition-count move — partition jitter within the band is not a
+    // different plan. Equal choices realize the same operators, so their
+    // counts pair up one to one.
     val dParts = dflt.root.allNodes.map(_.partitions).sorted
     val lParts = learned.root.allNodes.map(_.partitions).sorted
-    val partChanged = dParts.length != lParts.length ||
-      dParts.zip(lParts).exists { case (a, b) => math.abs(a - b) > 0.25 * math.max(a, b) }
+    val partChanged = dParts.zip(lParts).exists { case (a, b) => math.abs(a - b) > 0.25 * math.max(a, b) }
     val changed = dflt.choices != learned.choices || partChanged
     Comparison(
       dflt, learned,

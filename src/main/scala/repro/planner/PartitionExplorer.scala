@@ -56,8 +56,10 @@ object PartitionExplorer {
     * count (the three sign cases of Section 5.3). With both θ positive the
     * optimum is `sqrt(θP/θC)`, clamped into the bounds; otherwise the curve
     * is monotone or concave and the cheaper bound wins (`lo` on a tie).
+    * Inverted bounds (`lo > hi`) are rejected.
     */
   def optimum(thetaP: Double, thetaC: Double, lo: Double, hi: Double): Int = {
+    require(lo <= hi, s"inverted partition bounds [$lo, $hi]")
     def cost(p: Double): Double = thetaP / p + thetaC * p
     val best =
       if (thetaP > 0 && thetaC > 0) math.max(lo, math.min(hi, math.sqrt(thetaP / thetaC)))

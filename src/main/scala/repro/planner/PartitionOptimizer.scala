@@ -66,10 +66,9 @@ object PartitionOptimizer {
     groups.map(_.result()).toSeq
   }
 
-  /** Rewrites partition counts per stage using the predictor's learned θ, and
-    * elides an Exchange when the optimized count makes it redundant (child
-    * already partitioned on the same key at a near-identical count — the
-    * paper's "skipping shuffle operators" plan change).
+  /** Rewrites partition counts per stage using the predictor's learned θ. The
+    * plan keeps every operator: a setter takes its class optimum, so both
+    * inputs of a join stay co-partitioned at one count.
     */
   def optimize(root: Phys, predictor: CleoPredictor): Phys = {
     val st = new Stages(root)
@@ -98,13 +97,7 @@ object PartitionOptimizer {
       val kids = n.children.map(rebuild)
       val p = pStar(st.classOf(next))
       next += 1
-      if (!isSetter(n)) n.copy(children = kids, partitions = kids.head.partitions)
-      else if (n.op == PhysOp.Exchange) {
-        val child = kids.head
-        val redundant = n.partitionKey.exists(k => child.partitionKey.contains(k)) &&
-          math.abs(child.partitions - p) <= math.max(1, (0.3 * child.partitions).toInt)
-        if (redundant) child else n.copy(children = kids, partitions = p)
-      } else n.copy(children = kids, partitions = p)
+      n.copy(children = kids, partitions = if (isSetter(n)) p else kids.head.partitions)
     }
     rebuild(root)
   }

@@ -121,8 +121,8 @@ class TreeReferenceSpec extends AnyFunSuite {
 
   private def roots(m: Regressor): Seq[Node] = m match {
     case t: RegressionTree.Model => Seq(t.root)
-    case f: FastTree#Model       => f.trees.toSeq.flatMap(roots)
-    case r: RandomForest#Model   => r.trees.toSeq.flatMap(roots)
+    case f: FastTree.Model       => f.trees.toSeq.flatMap(roots)
+    case r: RandomForest.Model   => r.trees.toSeq.flatMap(roots)
   }
 
   private def assertSameTrees(got: Seq[Node], want: Seq[Node]): Unit = {

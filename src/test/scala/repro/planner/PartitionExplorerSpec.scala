@@ -51,6 +51,12 @@ class PartitionExplorerSpec extends AnyFunSuite {
     assert(optimum(0.0001, 1e9, 1, MaxPartitions) == 1)
   }
 
+  test("inverted bounds are rejected, not answered with a count outside them") {
+    intercept[IllegalArgumentException](optimum(400.0, 1.0, 64, 8))
+    intercept[IllegalArgumentException](optimum(-10.0, 2.0, 64, 8))
+    assert(optimum(400.0, 1.0, 8, 8) == 8)
+  }
+
   test("the ±8× band clamps the optimum and keeps the count without an interior optimum") {
     assert(withinBand(400.0, 1.0, 16) == 20)
     assert(withinBand(1e12, 1e-9, 16) == 128)

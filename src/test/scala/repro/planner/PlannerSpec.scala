@@ -76,15 +76,9 @@ private object ThreeWalkPartitionOptimizer {
     }.toMap
     def rebuild(n: Phys, myPath: Long): Phys = {
       val kids = n.children.zipWithIndex.map { case (c, i) => rebuild(c, pathOf(myPath, c, i)) }
-      if (n.children.isEmpty || n.op == PhysOp.Exchange) {
-        val p = pStar.getOrElse(uf.find(myPath), n.partitions)
-        if (n.op == PhysOp.Exchange) {
-          val child = kids.head
-          val redundant = n.partitionKey.exists(k => child.partitionKey.contains(k)) &&
-            math.abs(child.partitions - p) <= math.max(1, (0.3 * child.partitions).toInt)
-          if (redundant) child else n.copy(children = kids, partitions = p)
-        } else n.copy(children = kids, partitions = p)
-      } else n.copy(children = kids, partitions = kids.head.partitions)
+      if (n.children.isEmpty || n.op == PhysOp.Exchange)
+        n.copy(children = kids, partitions = pStar.getOrElse(uf.find(myPath), n.partitions))
+      else n.copy(children = kids, partitions = kids.head.partitions)
     }
     rebuild(root, 0x5EEDL)
   }
@@ -156,13 +150,23 @@ class PlannerSpec extends AnyFunSuite {
   }
 
   test("partition optimization keeps the plan structurally valid") {
-    val r = runs.find(r => r.day == 3 && !r.adhoc).get
-    val opt = PartitionOptimizer.optimize(r.root, predictor)
-    assert(opt.allNodes.size <= r.root.allNodes.size) // elision can only drop ops
-    PartitionOptimizer.stageGroups(opt).foreach { g =>
-      assert(g.map(_.partitions).distinct.size == 1)
+    val joins = Set[PhysOp](PhysOp.HashJoin, PhysOp.MergeJoin)
+    // An operator with its partition count and subtree left out.
+    def shape(p: Phys): Vector[Phys] = p.allNodes.map(_.copy(children = Vector.empty, partitions = 0))
+    val plans = c1Roots ++ planJobs.flatMap(candidates(_).map(_._2))
+    plans.foreach { root =>
+      val opt = PartitionOptimizer.optimize(root, predictor)
+      val sameOps = shape(opt) == shape(root)
+      assert(sameOps, s"operators moved: ${root.allNodes.map(_.op.name)} -> ${opt.allNodes.map(_.op.name)}")
+      opt.allNodes.foreach(n => assert(n.partitions >= 1 && n.partitions <= DefaultPartitioner.MaxPartitions))
+      opt.allNodes.filter(n => joins(n.op)).foreach { j =>
+        j.children.foreach { c =>
+          assert(j.partitionKey.isDefined && c.partitionKey == j.partitionKey && c.partitions == j.partitions,
+            s"join input ${c.op.name}:${c.partitionKey}:${c.partitions} vs ${j.partitionKey}:${j.partitions}")
+        }
+      }
+      PartitionOptimizer.stageGroups(opt).foreach(g => assert(g.map(_.partitions).distinct.size == 1))
     }
-    opt.allNodes.foreach(n => assert(n.partitions >= 1 && n.partitions <= 3000))
   }
 
   test("partition optimization changes partition counts for most plans") {

@@ -1,6 +1,6 @@
 package repro.props
 
-import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.{Gen, Properties}
 import org.scalacheck.Prop.forAll
 import repro.core.{Features, OpStats}
 import repro.ml.{Metrics, Standardizer}
