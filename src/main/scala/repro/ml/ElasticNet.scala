@@ -44,54 +44,63 @@ final case class ElasticNet(
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): ElasticNetModel = {
     require(xs.nonEmpty && xs.length == ys.length, "empty or mismatched training set")
     val scaler = Standardizer.fit(xs)
-    val z = xs.map(scaler.transform)
     loss match {
-      case Loss.MSE            => fitCoordinate(z, ys, scaler)
-      case l: Loss.Subgradient => fitGradient(z, ys, scaler, l)
+      case Loss.MSE            => fitCoordinate(xs, ys, scaler)
+      case l: Loss.Subgradient => fitGradient(xs.map(scaler.transform), ys, scaler, l)
     }
   }
 
   private def softThreshold(v: Double, t: Double): Double =
     if (v > t) v - t else if (v < -t) v + t else 0.0
 
-  /** Exact cyclic coordinate descent on ½·MSE + l1·|w| + ½·l2·w². */
+  /** Exact cyclic coordinate descent on ½·MSE + l1·|w| + ½·l2·w² by covariance updates
+    * (Friedman, Hastie & Tibshirani 2010): one pass over the rows builds G = Z'Z/n and
+    * c = Z'(y−ȳ)/n; g = c − G·w is Z'r/n, and a weight that moves updates g in O(d).
+    */
   private def fitCoordinate(
-      z: Array[Array[Double]], ys: Array[Double], scaler: Standardizer): ElasticNetModel = {
-    val n = z.length
-    val d = z(0).length
-    val w = new Array[Double](d)
+      xs: Array[Array[Double]], ys: Array[Double], scaler: Standardizer): ElasticNetModel = {
+    val n = xs.length
+    val d = xs(0).length
     val yMean = ys.sum / n
-    // residual r_i = y_i - (intercept + w·z_i); with centered target the
-    // intercept in standardized space is exactly yMean.
-    val r = ys.map(_ - yMean)
-    // per-column mean square (z is standardized so ≈1, but be exact)
-    val colSq = new Array[Double](d)
+    // With a centered target the intercept in standardized space is exactly yMean.
+    val gram = Array.ofDim[Double](d, d)
+    val g = new Array[Double](d)
+    var i = 0
+    while (i < n) {
+      val z = scaler.transform(xs(i))
+      val r = ys(i) - yMean
+      var j = 0
+      while (j < d) {
+        val v = z(j); val row = gram(j); var k = 0
+        while (k <= j) { row(k) += v * z(k); k += 1 }
+        g(j) += v * r
+        j += 1
+      }
+      i += 1
+    }
     var j = 0
     while (j < d) {
-      var s = 0.0; var i = 0
-      while (i < n) { val v = z(i)(j); s += v * v; i += 1 }
-      colSq(j) = s / n
+      var k = 0
+      while (k <= j) { gram(j)(k) /= n; gram(k)(j) = gram(j)(k); k += 1 }
+      g(j) /= n
       j += 1
     }
+    val w = new Array[Double](d)
     var it = 0
     var maxDelta = Double.MaxValue
     while (it < MaxIter && maxDelta > Tol) {
       maxDelta = 0.0
       j = 0
       while (j < d) {
-        if (colSq(j) > 1e-12) {
-          var rho = 0.0
-          var i = 0
-          while (i < n) { rho += z(i)(j) * r(i); i += 1 }
-          rho = rho / n + colSq(j) * w(j)
-          val wNew = softThreshold(rho, l1) / (colSq(j) + l2)
+        val col = gram(j)
+        if (col(j) > 1e-12) {
+          val wNew = softThreshold(g(j) + col(j) * w(j), l1) / (col(j) + l2)
           val delta = wNew - w(j)
           if (delta != 0.0) {
-            i = 0
-            while (i < n) { r(i) -= delta * z(i)(j); i += 1 }
+            var k = 0
+            while (k < d) { g(k) -= delta * col(k); k += 1 }
             w(j) = wNew
-            val ad = math.abs(delta)
-            if (ad > maxDelta) maxDelta = ad
+            maxDelta = math.max(maxDelta, math.abs(delta))
           }
         }
         j += 1

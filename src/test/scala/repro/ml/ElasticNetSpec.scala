@@ -1,6 +1,8 @@
 package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cleo.Trainer
+import repro.core.{Features, OpStats}
 
 class ElasticNetSpec extends AnyFunSuite {
 
@@ -104,6 +106,23 @@ class ElasticNetSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       ElasticNet().fit(Array.empty[Array[Double]], Array.empty[Double])
     }
+  }
+
+  /** A real feature vector: B·C is ~1e16, so the column means round. */
+  private val bigRow = Features.vector(OpStats(3e7, 4.1e8, 2.9e7, 117.0, 250.0, 0x5eedL, 1.7, 6, 3))
+
+  test("a minimum-size group with constant features fits zero weights and the mean") {
+    val ys = Array.tabulate(Trainer.MinOccurrences)(i => 0.3 + 1.7 * i * i)
+    val m = Trainer.elasticNet.fit(Array.fill(ys.length)(bigRow.clone), ys)
+    assert(m.weights.forall(_ == 0.0), m.weights.mkString(","))
+    assert(m.intercept == ys.sum / ys.length)
+  }
+
+  test("a one-row fit gives finite output") {
+    val m = Trainer.elasticNet.fit(Array(bigRow), Array(4.2))
+    assert(m.weights.forall(_.isFinite) && m.intercept.isFinite)
+    for (x <- Seq(bigRow, bigRow.map(_ * 1e3), Array.fill(bigRow.length)(0.0)))
+      assert(m.predict(x).isFinite)
   }
 
   test("single-sample training degenerates to a constant") {

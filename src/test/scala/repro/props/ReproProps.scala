@@ -3,7 +3,8 @@ package repro.props
 import org.scalacheck.{Gen, Properties}
 import org.scalacheck.Prop.forAll
 import repro.core.{Features, OpStats}
-import repro.ml.{Metrics, Standardizer}
+import repro.cleo.Trainer
+import repro.ml.{ElasticNetModel, Metrics, RowSweepElasticNet, Standardizer}
 import repro.scopesim.Determ
 
 /** ScalaCheck property suites (run natively by sbt's scalacheck framework). */
@@ -98,4 +99,47 @@ object StandardizerProps extends Properties("Standardizer") {
       }
     }
   }
+}
+
+object ElasticNetProps extends Properties("ElasticNet") {
+
+  /** Designs of 1–40 rows and 1–8 non-negative columns at magnitudes up to
+    * 1e16 (as B·C reaches), some columns constant and some copies of an
+    * earlier one; targets in the range of log1p costs.
+    */
+  private val designGen: Gen[(Array[Array[Double]], Array[Double])] = for {
+    n <- Gen.choose(1, 40)
+    d <- Gen.choose(1, 8)
+    kinds <- Gen.listOfN(d, Gen.frequency(3 -> "varied", 1 -> "constant", 1 -> "copy"))
+    sources <- Gen.listOfN(d, Gen.choose(0, 7))
+    scales <- Gen.listOfN(d, Gen.choose(0, 16).map(e => math.pow(10.0, e.toDouble)))
+    cells <- Gen.listOfN(n * d, Gen.choose(0.0, 1.0))
+    ys <- Gen.listOfN(n, Gen.choose(0.0, 30.0))
+  } yield {
+    val cols = Array.ofDim[Double](d, n)
+    for (j <- 0 until d) cols(j) = kinds(j) match {
+      case "copy" if j > 0 => cols(sources(j) % j)
+      case "constant"      => Array.fill(n)(scales(j) * cells(j))
+      case _               => Array.tabulate(n)(i => scales(j) * cells(i * d + j))
+    }
+    (Array.tabulate(n, d)((i, j) => cols(j)(i)), ys.toArray)
+  }
+
+  private val en = Trainer.elasticNet
+
+  /** ½·MSE + l1·|w| + ½·l2·w² of a fit, in its standardized space. */
+  private def objective(m: ElasticNetModel, xs: Array[Array[Double]], ys: Array[Double]): Double = {
+    val mse = xs.indices.map(i => math.pow(ys(i) - m.predict(xs(i)), 2)).sum / xs.length
+    0.5 * mse + en.l1 * m.weights.map(math.abs).sum + 0.5 * en.l2 * m.weights.map(w => w * w).sum
+  }
+
+  property("covariance updates reach the row sweep's objective; constant columns get weight 0") =
+    forAll(designGen) { case (xs, ys) =>
+      val (got, want) = (en.fit(xs, ys), RowSweepElasticNet.fit(en, xs, ys))
+      val finite = Seq(got, want).forall(m => m.intercept.isFinite && m.weights.forall(_.isFinite))
+      val constant = xs(0).indices.filter(j => xs.forall(_(j) == xs(0)(j)))
+      val (oGot, oWant) = (objective(got, xs, ys), objective(want, xs, ys))
+      finite && constant.forall(j => got.weights(j) == 0.0 && want.weights(j) == 0.0) &&
+        math.abs(oGot - oWant) <= 1e-9 * (1.0 + oWant)
+    }
 }
